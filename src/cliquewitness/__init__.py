@@ -39,7 +39,6 @@ from .spectral import (
     evaluate_W_conditions,
     expected_H12_norms,
     expected_block,
-    min_eig_power,
     psd_check,
     rect_operator_norm,
     schur_condition_check,

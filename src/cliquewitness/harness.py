@@ -135,14 +135,11 @@ class ResultRecord:
 
 
 def _witness_structures(n: int, p: float, seed: int):
-    """Clique mask and union-size table of M, compressed to nonzero rows."""
-    graph = sample_er(n, p, seed=seed)
-    ix = SubsetIndexer(n)
-    mask = _full_matrix(np.ones(5), graph, ix, "M")
-    sizes = _full_matrix(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), graph, ix, "M")
-    keep = np.diag(mask) > 0
+    """Union-size table and clique support of M, compressed to nonzero rows."""
+    sizes, support = _full_matrix(sample_er(n, p, seed=seed), SubsetIndexer(n), "M")
+    keep = np.diag(support)
     sub = np.ix_(keep, keep)
-    return sizes[sub].astype(np.int8), mask[sub].astype(bool)
+    return sizes[sub], support[sub]
 
 
 def _frontier_for_n(config: ExperimentConfig, n: int) -> Tuple[float, List[int]]:
@@ -157,8 +154,7 @@ def _frontier_for_n(config: ExperimentConfig, n: int) -> Tuple[float, List[int]]
         allowed_fails = config.trials - needed
         fails = 0
         for sizes, mask in cache:
-            params = derive_alphas(kappa, config.p)
-            table = np.array([1.0, *params.alpha])
+            table = derive_alphas(kappa, config.p).by_union_size()
             values = np.where(mask, table[sizes], 0.0)
             if not psd_check(values, tol=tol, refine=False).psd:
                 fails += 1
@@ -181,8 +177,7 @@ def _frontier_for_n(config: ExperimentConfig, n: int) -> Tuple[float, List[int]]
     outcomes: List[int] = []
     if np.isfinite(lo):
         for sizes, mask in cache:
-            params = derive_alphas(lo, config.p)
-            table = np.array([1.0, *params.alpha])
+            table = derive_alphas(lo, config.p).by_union_size()
             values = np.where(mask, table[sizes], 0.0)
             outcomes.append(int(psd_check(values, tol=tol, refine=False).psd))
     else:
@@ -613,7 +608,9 @@ def check_records(config: ExperimentConfig, records: Sequence[ResultRecord]) -> 
         in_range = all(
             s is not None and np.isfinite(s) and 1e-4 <= s <= 1e-1 for s in stars
         )
-        return in_range and slope is not None and -0.85 <= slope <= -0.45
+        # a one-point grid fits no slope (its slope record is NaN)
+        slope_ok = len(config.n_grid) < 2 or (slope is not None and -0.85 <= slope <= -0.45)
+        return in_range and slope_ok
     if config.experiment == "norm_scaling":
         for name, _ in _RATIO_KINDS:
             meds = [

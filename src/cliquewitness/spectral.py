@@ -22,7 +22,6 @@ from .params import WitnessParams
 from .subsets import SubsetIndexer
 
 _DENSE_EIG_CUTOFF = 600
-_REFINE_DENSE_CUTOFF = 3000
 _COND_GUARD = 1e12
 
 
@@ -97,10 +96,6 @@ class ProjectorFamily:
         u = np.asarray(u, dtype=float)
         return np.full(self.n, u.mean())
 
-    def q_perp_apply(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return u - u.mean()
-
     # explicit unit basis vectors -------------------------------------
 
     def basis_v0(self) -> np.ndarray:
@@ -127,12 +122,6 @@ class ProjectorFamily:
         """Materialized projector, intended for small-n oracle tests."""
         eye = np.eye(self.num_pairs)
         return np.column_stack([self.apply(a, eye[:, t]) for t in range(self.num_pairs)])
-
-
-def apply_projector(a: int, v: np.ndarray) -> np.ndarray:
-    """Apply P_a to a pair vector; n is inferred from the length."""
-    v = np.asarray(v, dtype=float)
-    return ProjectorFamily(_pairs_count(v.shape[0])).apply(a, v)
 
 
 # ----------------------------------------------------------------------
@@ -267,50 +256,14 @@ class PsdReport:
     scale: float
 
 
-def _gershgorin_upper(x: np.ndarray) -> float:
-    radii = np.abs(x).sum(axis=1) - np.abs(np.diagonal(x))
-    return float((np.diagonal(x) + radii).max())
-
-
-def min_eig_power(x: np.ndarray, tol: float = 1e-9, cap: Optional[int] = None,
-                  restarts: int = 2, seed: int = 0) -> float:
-    """Smallest eigenvalue via power iteration on (sigma I - X).
-
-    sigma is the Gershgorin upper bound, the start vector is drawn from a
-    seeded generator, and the estimate keeps the best over restarts.
-    """
-    dim = x.shape[0]
-    if cap is None:
-        cap = 10 * dim
-    sigma = _gershgorin_upper(x)
-    best_theta = -np.inf
-    for attempt in range(restarts + 1):
-        rng = np.random.default_rng(seed + attempt)
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        theta = 0.0
-        for _ in range(cap):
-            w = sigma * v - x @ v
-            theta = float(v @ w)
-            resid = np.linalg.norm(w - theta * v)
-            norm_w = np.linalg.norm(w)
-            if norm_w == 0.0:
-                break
-            v = w / norm_w
-            if resid <= tol * max(abs(theta), 1e-300):
-                break
-        best_theta = max(best_theta, theta)
-    return sigma - best_theta
-
-
 def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdReport:
     """Certify positive semidefiniteness up to tol * max |diagonal|.
 
     Small matrices take a dense eigendecomposition.  Larger ones attempt
     Cholesky factorizations of X + shift I over decreasing shifts; a success
     at shift s certifies the minimum eigenvalue above -s.  On failure the
-    estimate is refined (densely, or by shifted power iteration) unless
-    refine is False, in which case only the verdict is reported.
+    smallest eigenvalue is computed densely unless refine is False, in which
+    case only the verdict is reported.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -369,15 +322,10 @@ def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdRepor
     if not refine:
         return PsdReport(min_eig_estimate=-np.inf, method="shifted-factorization",
                          tol=tol, psd=False, scale=scale)
-    if dim <= _REFINE_DENSE_CUTOFF:
-        est = float(eigvalsh(x, check_finite=False)[0])
-        method = "dense-eigendecomposition"
-    else:
-        est = float(min_eig_power(x))
-        method = "extreme-eigenvalue-iteration"
+    est = float(eigvalsh(x, subset_by_index=[0, 0], check_finite=False)[0])
     if dropped:
         est = min(est, 0.0)
-    return PsdReport(min_eig_estimate=est, method=method, tol=tol,
+    return PsdReport(min_eig_estimate=est, method="dense-eigendecomposition", tol=tol,
                      psd=est >= threshold, scale=scale)
 
 

@@ -16,7 +16,7 @@ H >= 0  =>  N >= 0  =>  M >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations
 from typing import Tuple
 
 import numpy as np
@@ -38,7 +38,7 @@ __all__ = [
     "load_matrix",
 ]
 
-_ROW_CHUNK = 512
+_ROW_CHUNK = 128
 
 
 # ----------------------------------------------------------------------
@@ -79,90 +79,43 @@ class MomentMatrix:
         return float(self.values[idx, idx].sum())
 
 
-def _row_values(
-    alphas: np.ndarray,
-    graph: GraphInstance,
-    ix: SubsetIndexer,
-    kind: str,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """Entries of the M or N matrix for the given full-space row indices.
+def _full_matrix(graph: GraphInstance, ix: SubsetIndexer, kind: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Union sizes |A u B| (int8) and the 0/1 support of kind M or N.
 
-    Row/column conventions follow the canonical index order.  All case
-    distinctions reduce to boolean gathers on the adjacency matrix, so the
-    result is bitwise symmetric in (row, column).
+    Every subset is a 0-padded label pair (first, second), so the empty set
+    is (0, 0) and a singleton {v} is (0, v).  In the padded adjacency, label
+    0 and the diagonal count as adjacent.  The support of N is the product
+    of the cross edges between A \\ B and B \\ A; M also needs A and B to be
+    cliques (M = D N D).  The sizes depend on n alone.
     """
-    n = ix.n
-    adj = graph.adjacency
-    adj_diag = adj | np.eye(n, dtype=bool)
-    gpair = graph.pair_indicators(ix)
-    hi = ix.pair_heads - 1
-    ti = ix.pair_tails - 1
+    n, dim = ix.n, ix.dim
+    first = np.zeros(dim, dtype=np.int64)
+    second = np.zeros(dim, dtype=np.int64)
+    second[1 : n + 1] = np.arange(1, n + 1)
+    first[n + 1 :] = ix.pair_heads
+    second[n + 1 :] = ix.pair_tails
+    adj = np.ones((n + 1, n + 1), dtype=bool)
+    adj[1:, 1:] = graph.adjacency | np.eye(n, dtype=bool)
+    count = (first > 0).astype(np.int8) + (second > 0)
+    clique = adj[first, second]
 
-    out = np.empty((len(rows), ix.dim))
-    for r, row in enumerate(rows):
-        row = int(row)
-        if row == 0:
-            line = np.empty(ix.dim)
-            line[0] = alphas[0]
-            line[1 : n + 1] = alphas[1]
-            line[n + 1 :] = alphas[2] * gpair if kind == "M" else alphas[2]
-            out[r] = line
-            continue
-        if row <= n:
-            a = row - 1
-            line = np.empty(ix.dim)
-            line[0] = alphas[1]
-            # cross product {a} x {b} is the single edge indicator, so the
-            # singleton block of M and N coincide
-            sing = alphas[2] * adj[a].astype(float)
-            sing[a] = alphas[1]
-            line[1 : n + 1] = sing
-            cross = adj[a, hi] & adj[a, ti]
-            vals = alphas[3] * cross.astype(float)
-            if kind == "M":
-                vals *= gpair
-            in_b = (hi == a) | (ti == a)
-            vals[in_b] = alphas[2] * (gpair[in_b] if kind == "M" else 1.0)
-            line[n + 1 :] = vals
-            out[r] = line
-            continue
-        t = row - n - 1
-        i, j = int(hi[t]), int(ti[t])
-        line = np.empty(ix.dim)
-        line[0] = alphas[2] * (gpair[t] if kind == "M" else 1.0)
-        sing = alphas[3] * (adj[i] & adj[j]).astype(float)
-        sing[i] = alphas[2]
-        sing[j] = alphas[2]
+    sizes = np.empty((dim, dim), dtype=np.int8)
+    support = np.empty((dim, dim), dtype=bool)
+    for start in range(0, dim, _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        a1, a2 = first[rows, None], second[rows, None]
+        # eq_ij: label i of A equals label j of B
+        eq11, eq12, eq21, eq22 = a1 == first, a1 == second, a2 == first, a2 == second
+        sizes[rows] = count[rows, None] + ((first > 0) & ~(eq11 | eq21)) + ((second > 0) & ~(eq12 | eq22))
+        # an edge term is void when either end lies in both sets
+        adj1, adj2 = adj[first[rows]], adj[second[rows]]
+        block = support[rows]
+        np.logical_and(adj1[:, first] | eq12 | eq21, adj1[:, second] | eq11 | eq22, out=block)
+        block &= adj2[:, first] | eq22 | eq11
+        block &= adj2[:, second] | eq21 | eq12
         if kind == "M":
-            sing *= gpair[t]
-        line[1 : n + 1] = sing
-        if kind == "M":
-            p4 = adj_diag[i, hi] & adj_diag[i, ti] & adj_diag[j, hi] & adj_diag[j, ti]
-            shared = (hi == i).astype(np.int8) + (hi == j) + (ti == i) + (ti == j)
-            vals = alphas[4 - shared] * (p4 & gpair & gpair[t]).astype(float)
-        else:
-            vals = alphas[4] * (adj[i, hi] & adj[i, ti] & adj[j, hi] & adj[j, ti]).astype(float)
-            share_i = (hi == i) | (ti == i)
-            share_j = (hi == j) | (ti == j)
-            one = share_i ^ share_j
-            if np.any(one):
-                # x in A \ B, y in B \ A for overlap exactly one
-                x = np.where(share_i[one], j, i)
-                y = hi[one] + ti[one] - np.where(share_i[one], i, j)
-                vals[one] = alphas[3] * adj[x, y]
-            vals[t] = alphas[2]
-        line[n + 1 :] = vals
-        out[r] = line
-    return out
-
-
-def _full_matrix(alphas: np.ndarray, graph: GraphInstance, ix: SubsetIndexer, kind: str) -> np.ndarray:
-    values = np.empty((ix.dim, ix.dim))
-    for start in range(0, ix.dim, _ROW_CHUNK):
-        rows = np.arange(start, min(start + _ROW_CHUNK, ix.dim))
-        values[rows] = _row_values(alphas, graph, ix, kind, rows)
-    return values
+            block &= clique[rows, None] & clique
+    return sizes, support
 
 
 def build_matrix(graph: GraphInstance, params: WitnessParams, kind: str) -> MomentMatrix:
@@ -174,13 +127,13 @@ def build_matrix(graph: GraphInstance, params: WitnessParams, kind: str) -> Mome
             f"edge probability mismatch: params.p={params.p}, graph.p={graph.p}"
         )
     ix = SubsetIndexer(graph.n)
-    alphas = params.by_union_size()
+    sizes, support = _full_matrix(graph, ix, "M" if kind == "M" else "N")
+    values = params.by_union_size()[sizes]
+    values[~support] = 0.0  # in place: np.where would hold a second dense copy
     if kind in ("M", "N"):
-        values = _full_matrix(alphas, graph, ix, kind)
         return MomentMatrix(indexer=ix, kind=kind, values=values, params=params)
-    full = _full_matrix(alphas, graph, ix, "N")
     by_size = np.concatenate([np.full(ix.n, params.alpha1), np.full(ix.num_pairs, params.alpha2)])
-    values = full[1:, 1:] - np.outer(by_size, by_size)
+    values = values[1:, 1:] - np.outer(by_size, by_size)
     return MomentMatrix(indexer=ix, kind="H", values=values, params=params)
 
 
@@ -221,55 +174,49 @@ class FeasibilityReport:
         )
 
 
-def _pad_pairs(ix: SubsetIndexer) -> Tuple[np.ndarray, np.ndarray]:
-    """(first, second) vertex labels per index, 0-padded from the front."""
-    first = np.zeros(ix.dim, dtype=np.int64)
-    second = np.zeros(ix.dim, dtype=np.int64)
-    second[1 : ix.n + 1] = np.arange(1, ix.n + 1)
-    first[ix.n + 1 :] = ix.pair_heads
-    second[ix.n + 1 :] = ix.pair_tails
-    return first, second
+def _union_patterns(size: int) -> list:
+    """Unordered (A, B) with A u B = {1..size}, as 0-padded label pairs."""
+    labels = range(1, size + 1)
+    subsets = [(0, 0)] + [(0, v) for v in labels] + list(combinations(labels, 2))
+    return [
+        (a, b)
+        for i, a in enumerate(subsets)
+        for b in subsets[i:]
+        if set(a + b) - {0} == set(labels)
+    ]
 
 
-def _union_ranks(
-    r1: np.ndarray, r2: np.ndarray, c1: np.ndarray, c2: np.ndarray, tables: np.ndarray
-) -> np.ndarray:
-    """Injective integer key of the union multiset, per (row, column) position.
+def _unions_agree(values: np.ndarray, ix: SubsetIndexer) -> bool:
+    """True when the matrix is symmetric and constant on each union A u B.
 
-    Sorts the four padded labels with a sorting network, zeroes duplicates,
-    re-sorts, then shifts position j by j so the padded tuple becomes a
-    strictly increasing 4-subset ranked in the colexicographic order.
+    After the symmetry test, each union U of size 1-4 is checked by
+    gathering the entries at the fixed positions that produce it, in blocks
+    of the unions that share their smallest vertex.
     """
-    w = np.empty((len(r1), len(c1), 4), dtype=np.int64)
-    w[..., 0] = r1[:, None]
-    w[..., 1] = r2[:, None]
-    w[..., 2] = c1[None, :]
-    w[..., 3] = c2[None, :]
-    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
-        lo = np.minimum(w[..., a], w[..., b])
-        hi = np.maximum(w[..., a], w[..., b])
-        w[..., a] = lo
-        w[..., b] = hi
-    dup = w[..., 1:] == w[..., :-1]
-    w[..., 1:][dup] = 0
-    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
-        lo = np.minimum(w[..., a], w[..., b])
-        hi = np.maximum(w[..., a], w[..., b])
-        w[..., a] = lo
-        w[..., b] = hi
-    rank = tables[1][w[..., 0]]
-    rank += tables[2][w[..., 1] + 1]
-    rank += tables[3][w[..., 2] + 2]
-    rank += tables[4][w[..., 3] + 3]
-    return rank
-
-
-def _binom_tables(n: int) -> np.ndarray:
-    z = np.arange(n + 4)
-    tables = np.zeros((5, n + 4), dtype=np.int64)
-    for k in range(1, 5):
-        tables[k] = [comb(int(v), k) for v in z]
-    return tables
+    if not np.array_equal(values, values.T):
+        return False
+    n = ix.n
+    index = np.zeros((n + 1, n + 1), dtype=np.int64)
+    index[0, 1:] = index[1:, 0] = np.arange(1, n + 1)
+    pairs = np.arange(n + 1, ix.dim)
+    index[ix.pair_heads, ix.pair_tails] = index[ix.pair_tails, ix.pair_heads] = pairs
+    for size in range(1, 5):
+        patterns = _union_patterns(size)
+        combos = list(combinations(range(2, n + 1), size - 1))
+        rest = np.array(combos, dtype=np.int64).reshape(len(combos), size - 1)
+        for v in range(1, n - size + 2):
+            tail = rest[rest[:, 0] > v] if size > 1 else rest
+            # column 0 holds label 0, so pattern labels index the columns
+            unions = np.zeros((len(tail), size + 1), dtype=np.int64)
+            unions[:, 1] = v
+            unions[:, 2:] = tail
+            got = np.stack([
+                values[index[unions[:, a1], unions[:, a2]], index[unions[:, b1], unions[:, b2]]]
+                for (a1, a2), (b1, b2) in patterns
+            ], axis=1)
+            if not np.array_equal(got, np.broadcast_to(got[:, :1], got.shape)):
+                return False
+    return True
 
 
 def check_sos_feasibility(
@@ -289,35 +236,10 @@ def check_sos_feasibility(
         raise ValueError(f"dimension mismatch: matrix n={mat.n}, graph n={graph.n}")
     ix = mat.indexer
     values = mat.values
-    ones = np.ones(5)
-    first, second = _pad_pairs(ix)
-    tables = _binom_tables(ix.n)
-    max_rank = int(
-        tables[1][ix.n] + tables[2][ix.n + 1] + tables[3][ix.n + 2] + tables[4][ix.n + 3]
-    )
-    rep = np.zeros(max_rank + 1)
-    seen = np.zeros(max_rank + 1, dtype=bool)
-
+    _, support = _full_matrix(graph, ix, "M")
     in_range = bool(np.all(values >= 0.0) and np.all(values <= 1.0))
-    off_clique_ok = True
-    union_ok = True
-    for start in range(0, ix.dim, _ROW_CHUNK):
-        rows = np.arange(start, min(start + _ROW_CHUNK, ix.dim))
-        block = values[rows]
-        clique = _row_values(ones, graph, ix, "M", rows).astype(bool)
-        if np.any(block[~clique] != 0.0):
-            off_clique_ok = False
-        ranks = _union_ranks(first[rows], second[rows], first, second, tables).ravel()
-        flat = block.ravel()
-        uniq, first_idx, inverse = np.unique(ranks, return_index=True, return_inverse=True)
-        chunk_rep = flat[first_idx]
-        if np.any(flat != chunk_rep[inverse]):
-            union_ok = False
-        known = seen[uniq]
-        if np.any(chunk_rep[known] != rep[uniq[known]]):
-            union_ok = False
-        rep[uniq[~known]] = chunk_rep[~known]
-        seen[uniq[~known]] = True
+    off_clique_ok = not np.any(values, where=~support)
+    union_ok = _unions_agree(values, ix)
 
     psd_report = psd_check(values, tol=tol)
     offset = 1

@@ -171,6 +171,12 @@ def test_check_records_frontier_predicate():
         frontier_record(0, None, slope=-0.6),
     ]
     assert check_records(cfg, out_of_range) is False
+    one_point = ExperimentConfig(
+        experiment="psd_frontier", n_grid=(40,), kappa_rule="binary_search"
+    )
+    single = [frontier_record(40, 0.01), frontier_record(0, None, slope=float("nan"))]
+    assert check_records(one_point, single) is True
+    assert check_records(one_point, [frontier_record(40, 0.5)] + single[1:]) is False
 
 
 def test_main_stdout_and_check_exit(capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cliquewitness.models import GraphInstance, sample_er
 from cliquewitness.params import WitnessParams, derive_alphas
@@ -11,7 +12,6 @@ from cliquewitness.spectral import (
     eigenvalues_expected_H22,
     expected_block,
     expected_H12_norms,
-    min_eig_power,
     ProjectorFamily,
     psd_check,
     rect_operator_norm,
@@ -193,7 +193,12 @@ def test_psd_check_large_factorization_path():
     assert rep.method == "shifted-factorization"
     spiked = gram.copy()
     spiked[0, 0] -= np.linalg.eigvalsh(gram)[0] + 1.0 + gram[0, 0]
-    assert psd_check(spiked).psd is False
+    assert psd_check(spiked, refine=False).psd is False  # Cholesky fails
+    rep = psd_check(spiked)
+    assert rep.psd is False
+    assert rep.method == "dense-eigendecomposition"
+    lowest = scipy.linalg.eigvalsh(spiked)[0]
+    assert abs(rep.min_eig_estimate - lowest) <= 1e-10 * abs(lowest)
 
 
 def test_psd_check_rejects_asymmetry():
@@ -232,14 +237,6 @@ def test_psd_check_zero_matrix():
     rep = psd_check(np.zeros((4, 4)))
     assert rep.psd
     assert rep.method == "zero-matrix"
-
-
-def test_min_eig_power_matches_dense():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((30, 30))
-    sym = (a + a.T) / 2
-    dense = np.linalg.eigvalsh(sym)[0]
-    assert abs(min_eig_power(sym, tol=1e-11) - dense) <= 1e-7 * abs(dense)
 
 
 # ----------------------------------------------------------------------

@@ -50,17 +50,28 @@ def brute_force_matrix(graph, params, kind):
     return out
 
 
+def oracle_graphs(seed):
+    # sparse to dense draws and a planted clique: empty sets, singletons and
+    # pairs meet every overlap pattern, with and without their cross edges
+    for n in (4, 6, 8):
+        for p in (0.1, 0.5, 0.9):
+            yield sample_er(n, p, seed=seed + n)
+    yield sample_planted(8, 0.5, 5, seed=seed)
+
+
 def test_entries_match_brute_force_m_and_n():
-    g = sample_er(6, 0.5, seed=3)
-    for kind in ("M", "N"):
-        mat = build_matrix(g, PARAMS, kind)
-        assert np.max(np.abs(mat.values - brute_force_matrix(g, PARAMS, kind))) == 0.0
+    for g in oracle_graphs(3):
+        pr = derive_alphas(0.05, g.p)
+        for kind in ("M", "N"):
+            mat = build_matrix(g, pr, kind)
+            assert np.max(np.abs(mat.values - brute_force_matrix(g, pr, kind))) == 0.0
 
 
 def test_h_matches_brute_force():
-    g = sample_er(6, 0.5, seed=11)
-    mat = build_matrix(g, PARAMS, "H")
-    assert np.max(np.abs(mat.values - brute_force_matrix(g, PARAMS, "H"))) <= 1e-15
+    for g in oracle_graphs(11):
+        pr = derive_alphas(0.05, g.p)
+        mat = build_matrix(g, pr, "H")
+        assert np.max(np.abs(mat.values - brute_force_matrix(g, pr, "H"))) <= 1e-15
 
 
 def test_m_equals_dnd():
@@ -182,6 +193,39 @@ def test_feasibility_flags_broken_symmetry_and_support():
     assert not rep.union_symmetric
     assert not rep.vanishes_off_cliques
     assert rep.feasible is False
+
+
+@pytest.mark.parametrize(
+    "a, b, mirrored",
+    [
+        ((0,), (), True),
+        ((0, 1), (), True),
+        ((0, 1), (2,), True),
+        ((0, 1), (2, 3), True),
+        ((2, 3), (0, 1), False),
+    ],
+    ids=["union1", "union2", "union3", "union4", "lone_transpose"],
+)
+def test_feasibility_flags_each_union_size(a, b, mirrored):
+    # a, b pick planted vertices by rank.  The edit is one ulp: the union
+    # audit is exact, while a lone unmirrored edit stays far below the
+    # asymmetry tolerance of the PSD check.  That lone edit sits on the
+    # orientation the per-union gather does not read, so only the symmetry
+    # test sees it.
+    g = sample_planted(8, 0.5, 5, seed=1)
+    pr = derive_alphas(0.01, 0.5)
+    mat = build_matrix(g, pr, "M")
+    ix = mat.indexer
+    clique = sorted(g.planted)
+    r = ix.index_of(clique[v] for v in a)
+    c = ix.index_of(clique[v] for v in b)
+    vals = mat.values.copy()
+    vals[r, c] = np.nextafter(vals[r, c], 1.0)
+    if mirrored:
+        vals[c, r] = vals[r, c]
+    rep = check_sos_feasibility(MomentMatrix(ix, "M", vals, pr), g)
+    assert rep.vanishes_off_cliques
+    assert not rep.union_symmetric
 
 
 def test_rejects_non_m_kind_feasibility():
