@@ -124,6 +124,11 @@ def _edge_factor(code: str, g: np.ndarray, i: int, j: int, hi: np.ndarray, ti: n
     return g[j, ti]
 
 
+def _pair_products(g: np.ndarray, hi: np.ndarray, ti: np.ndarray) -> np.ndarray:
+    """The pair-product factor a[i, (k, l)] = g_ik g_il over the given pairs."""
+    return g[:, hi] * g[:, ti]
+
+
 def _prefactor(kind: ComponentKind, params: WitnessParams) -> float:
     if kind.family == "K":
         return params.alpha3
@@ -142,14 +147,12 @@ def build_component(graph: GraphInstance, params: WitnessParams, kind: Component
     pref = _prefactor(kind, params)
 
     if kind.family == "L":
-        vals = np.empty((graph.n, npairs))
-        for a in range(graph.n):
-            if kind.eta == 1:
-                col = g[a, hi] if kind.nu == 1 else g[a, ti]
-            else:
-                col = g[a, hi] * g[a, ti]
-            col = col * ((hi != a) & (ti != a))
-            vals[a] = col
+        if kind.eta == 2:
+            # g_aa = 0 already zeroes the rows where a is k or l
+            vals = _pair_products(g, hi, ti)
+        else:
+            rows = np.arange(graph.n)[:, None]
+            vals = g[:, hi if kind.nu == 1 else ti] * ((hi != rows) & (ti != rows))
         return ComponentMatrix(kind=kind, values=pref * vals, prefactor=pref)
 
     vals = np.empty((npairs, npairs))
@@ -181,8 +184,13 @@ def build_component(graph: GraphInstance, params: WitnessParams, kind: Component
 
 
 # ----------------------------------------------------------------------
-# matrix-free operators for the large-n norm probes
+# matrix-free operators for the norm probes
 # ----------------------------------------------------------------------
+
+
+# pair columns per block of the J(4,1) matvec; the chunk's n x _PAIR_CHUNK
+# factor is the only temporary that grows with n
+_PAIR_CHUNK = 2048
 
 
 def _pair_lift(v: np.ndarray, hi: np.ndarray, ti: np.ndarray, n: int) -> np.ndarray:
@@ -195,10 +203,13 @@ def _pair_lift(v: np.ndarray, hi: np.ndarray, ti: np.ndarray, n: int) -> np.ndar
 def component_operator(
     graph: GraphInstance, params: WitnessParams, kind: ComponentKind
 ) -> LinearOperator:
-    """Matrix-free matvec for the components probed at large n.
+    """Matrix-free matvec for K and J(4,1) (= Jtilde(4,1)).
 
-    Supported: K and J(4,1) (= Jtilde(4,1)); other single components are cheap
-    enough to densify.  The class-1 relaxed sum has its own operator below.
+    J(4,1) v is alpha4 (a diag(v) a^T) read at the pairs, for the
+    pair-product factor a[i, (k, l)] = g_ik g_il: one BLAS-3 product per
+    _PAIR_CHUNK pair columns, each chunk's factor rebuilt from g.  Other
+    single components have no operator; the class-1 relaxed sum has its own
+    below.
     """
     ix = SubsetIndexer(graph.n)
     g = graph.centered
@@ -215,20 +226,17 @@ def component_operator(
             W = V @ g
             return a3 * (W + W.T)[hi, ti]
 
-    elif kind.family in ("J", "Jtilde") and kind.eta == 4:
+    elif kind.eta == 4:
         a4 = params.alpha4
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            V = _pair_lift(np.asarray(v).ravel(), hi, ti, n)
-            out = np.empty(npairs)
-            pos = 0
-            for i in range(n - 1):
-                W = V * np.outer(g[i], g[i])
-                s = ((g @ W) * g).sum(axis=1)
-                cnt = n - 1 - i
-                out[pos : pos + cnt] = 0.5 * a4 * s[i + 1 :]
-                pos += cnt
-            return out
+            v = np.asarray(v).ravel()
+            s = np.zeros((n, n))
+            for lo in range(0, npairs, _PAIR_CHUNK):
+                cols = slice(lo, lo + _PAIR_CHUNK)
+                a = _pair_products(g, hi[cols], ti[cols])
+                s += (a * v[cols]) @ a.T
+            return a4 * s[hi, ti]
 
     else:
         raise ValueError(f"no matrix-free route for {kind.label()}")
@@ -259,15 +267,21 @@ _DENSE_COMPONENT_LIMIT = 140
 
 
 def component_norm(graph: GraphInstance, params: WitnessParams, kind: ComponentKind) -> float:
-    """Spectral norm of a component, dense at small n, matrix-free above."""
+    """Spectral norm of a component.
+
+    K and J(4,1) go through component_operator at every n.  L components
+    are dense n x C(n, 2) blocks.  The other pair components have no
+    operator: they are densified up to n = _DENSE_COMPONENT_LIMIT, and
+    component_operator rejects them above it.
+    """
     if kind.family == "L":
         return rect_operator_norm(build_component(graph, params, kind).values)
-    if graph.n <= _DENSE_COMPONENT_LIMIT:
-        vals = build_component(graph, params, kind).values
-        if np.array_equal(vals, vals.T):
-            return sym_operator_norm(vals)
-        return rect_operator_norm(vals)
-    return sym_operator_norm(component_operator(graph, params, kind))
+    if kind.family == "K" or kind.eta == 4 or graph.n > _DENSE_COMPONENT_LIMIT:
+        return sym_operator_norm(component_operator(graph, params, kind))
+    vals = build_component(graph, params, kind).values
+    if np.array_equal(vals, vals.T):
+        return sym_operator_norm(vals)
+    return rect_operator_norm(vals)
 
 
 def class1_sum_norm(graph: GraphInstance, params: WitnessParams) -> float:

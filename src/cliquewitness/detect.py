@@ -85,6 +85,9 @@ def scale_witness(mat: MomentMatrix, scaling: float) -> MomentMatrix:
         raise ValueError(f"scaling is defined for kind 'M', got {mat.kind}")
     if not 0.0 <= scaling <= 1.0:
         raise ValueError(f"scaling must lie in [0, 1], got {scaling}")
+    if scaling == 1.0 and mat.values[0, 0] == 1.0:
+        # already s*X + (1-s)*e0 e0^T; a copy would double the dense witness
+        return mat
     values = scaling * mat.values
     values[0, 0] = 1.0
     return MomentMatrix(

@@ -23,6 +23,8 @@ from .subsets import SubsetIndexer
 
 _DENSE_EIG_CUTOFF = 600
 _COND_GUARD = 1e12
+# rows per block of the symmetry test; keeps its temporaries O(dim * block)
+_SYM_BLOCK = 256
 
 
 def _pairs_count(vector_length: int) -> int:
@@ -256,6 +258,16 @@ class PsdReport:
     scale: float
 
 
+def _max_asymmetry(x: np.ndarray) -> float:
+    """max |X - X^T|, one block of rows against its column slab at a time."""
+    worst = 0.0
+    for lo in range(0, x.shape[0], _SYM_BLOCK):
+        rows = slice(lo, lo + _SYM_BLOCK)
+        gap = np.abs(x[rows, lo:] - x[lo:, rows].T)
+        worst = max(worst, float(gap.max()))
+    return worst
+
+
 def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdReport:
     """Certify positive semidefiniteness up to tol * max |diagonal|.
 
@@ -274,7 +286,7 @@ def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdRepor
         scale = float(np.max(np.abs(x))) if x.size else 1.0
     if scale == 0.0:
         scale = 1.0
-    asym = float(np.max(np.abs(x - x.T))) if x.size else 0.0
+    asym = _max_asymmetry(x)
     if asym > 1e-10 * scale:
         raise ValueError(f"matrix is not symmetric: max |X - X^T| = {asym}")
     dim = x.shape[0]
@@ -310,7 +322,9 @@ def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdRepor
     (potrf,) = get_lapack_funcs(("potrf",), (x,))
     certified = None
     for shift in (tol * scale, tol * scale * 1e-4, 0.0):
-        shifted = x + shift * np.eye(dim)
+        # Fortran order, so potrf factors this copy in place
+        shifted = np.array(x, order="F")
+        shifted[np.diag_indices(dim)] += shift
         _, info = potrf(shifted, lower=0, clean=0, overwrite_a=1)
         if info == 0:
             certified = shift

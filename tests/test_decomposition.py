@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cliquewitness.decomposition import (
+    _PAIR_CHUNK,
     build_component,
     class1_sum_norm,
     class1_sum_operator,
@@ -129,16 +130,45 @@ def test_j_vanishes_on_overlaps_jtilde_does_not():
     assert np.any(jt != j)
 
 
+def operator_rows(graph, params, kind, rows):
+    # entry formula for the given rows of K or J(4,1)
+    ix = SubsetIndexer(graph.n)
+    g = graph.centered
+    h, t = ix.pair_heads - 1, ix.pair_tails - 1
+    i, j = h[rows, None], t[rows, None]
+    if kind.family == "K":
+        # one shared vertex; g_ii = 0 zeroes the terms whose vertices coincide
+        return params.alpha3 * (
+            (i == h) * g[j, t] + (i == t) * g[j, h] + (j == h) * g[i, t] + (j == t) * g[i, h]
+        )
+    return params.alpha4 * g[i, h] * g[i, t] * g[j, h] * g[j, t]
+
+
 def test_operator_matches_dense():
     g = sample_er(12, 0.5, seed=2)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(SubsetIndexer(12).num_pairs)
-    for kind in (ComponentKind("K"), ComponentKind("J", 4, 1)):
+    for kind in (ComponentKind("K"), ComponentKind("J", 4, 1), ComponentKind("Jtilde", 4, 1)):
         dense = build_component(g, PARAMS, kind).values
         op = component_operator(g, PARAMS, kind)
         assert np.max(np.abs(op @ v - dense @ v)) <= 1e-12 * np.max(np.abs(dense @ v) + 1)
+        assert np.array_equal(operator_rows(g, PARAMS, kind, np.arange(v.size)), dense)
     with pytest.raises(ValueError):
         component_operator(g, PARAMS, ComponentKind("J", 2, 1))
+
+
+def test_operator_matches_entry_formula_across_pair_chunks():
+    n = 75
+    npairs = SubsetIndexer(n).num_pairs
+    assert npairs > _PAIR_CHUNK  # the J(4,1) matvec sums over several chunks
+    g = sample_er(n, 0.5, seed=11)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(npairs)
+    rows = rng.choice(npairs, size=40, replace=False)
+    for kind in (ComponentKind("K"), ComponentKind("J", 4, 1)):
+        want = operator_rows(g, PARAMS, kind, rows) @ v
+        got = (component_operator(g, PARAMS, kind) @ v)[rows]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_jtilde41_equals_j41():
@@ -171,6 +201,13 @@ def test_component_norms_match_dense():
         want = np.linalg.norm(build_component(g, PARAMS, kind).values, 2)
         got = component_norm(g, PARAMS, kind)
         assert abs(got - want) <= 1e-6 * max(want, 1e-300)
+    # K and J(4,1) take their operators at every n, the smallest included
+    for n in (5, 12, 30):
+        g = sample_er(n, 0.5, seed=n)
+        for kind in (ComponentKind("K"), ComponentKind("J", 4, 1)):
+            want = np.linalg.norm(build_component(g, PARAMS, kind).values, 2)
+            got = component_norm(g, PARAMS, kind)
+            assert abs(got - want) <= 1e-6 * max(want, 1e-300), (n, kind.label())
 
 
 def test_expansions_are_exact():

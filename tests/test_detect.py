@@ -51,6 +51,14 @@ def test_scale_witness_preserves_feasibility():
     assert rep_half.feasible
     assert half.values[0, 0] == 1.0
     assert abs(rep_half.objective - 0.5 * rep.objective) <= 1e-12
+    want = 0.5 * mat.values
+    want[0, 0] = 1.0
+    assert np.array_equal(half.values, want)
+    assert not np.shares_memory(half.values, mat.values)
+    # the default scaling is the identity and copies nothing
+    same = scale_witness(mat, 1.0)
+    assert np.shares_memory(same.values, mat.values)
+    assert np.array_equal(same.values, mat.values)
 
 
 def test_scale_witness_validation():

@@ -8,6 +8,7 @@ import scipy.linalg
 from cliquewitness.models import GraphInstance, sample_er
 from cliquewitness.params import WitnessParams, derive_alphas
 from cliquewitness.spectral import (
+    _SYM_BLOCK,
     evaluate_W_conditions,
     eigenvalues_expected_H22,
     expected_block,
@@ -205,6 +206,15 @@ def test_psd_check_rejects_asymmetry():
     bad = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):
         psd_check(bad)
+    # one asymmetric entry whose row and column fall in different row blocks
+    dim = 2 * _SYM_BLOCK + 7
+    for r, c in ((3, dim - 2), (dim - 2, 3)):
+        far = np.eye(dim)
+        far[r, c] = 1e-9
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_check(far)
+        far[c, r] = 1e-9
+        assert psd_check(far).psd
 
 
 def test_psd_check_zero_row_compression():
