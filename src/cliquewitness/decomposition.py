@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
@@ -73,7 +73,14 @@ EDGE_CHOICES = {
     (4, 1): ("hh", "ht", "th", "tt"),
 }
 
-_L_KINDS = ((1, 1), (1, 2), (2, 1))
+# an L row is a singleton a with both ends a: L(1,1) and L(1,2) take its
+# edge to the head or to the tail of the column pair, L(2,1) both
+_L_EDGES = {(1, 1): ("hh",), (1, 2): ("ht",), (2, 1): ("hh", "ht")}
+# the four codes, each with the code that swaps both ends
+_FLIP = {"hh": "tt", "ht": "th", "th": "ht", "tt": "hh"}
+
+# rows per block of build_component; every temporary is block x C(n, 2)
+_COMPONENT_ROW_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,8 @@ class ComponentKind:
                 raise ValueError("K carries no (eta, nu)")
             return
         if self.family == "L":
-            if (self.eta, self.nu) not in _L_KINDS:
-                raise ValueError(f"L restricted to {_L_KINDS}, got ({self.eta}, {self.nu})")
+            if (self.eta, self.nu) not in _L_EDGES:
+                raise ValueError(f"L restricted to {tuple(_L_EDGES)}, got ({self.eta}, {self.nu})")
             return
         if (self.eta, self.nu) not in EDGE_CHOICES:
             raise ValueError(f"invalid (eta, nu) = ({self.eta}, {self.nu})")
@@ -114,16 +121,6 @@ class ComponentMatrix:
     prefactor: float
 
 
-def _edge_factor(code: str, g: np.ndarray, i: int, j: int, hi: np.ndarray, ti: np.ndarray) -> np.ndarray:
-    if code == "hh":
-        return g[i, hi]
-    if code == "ht":
-        return g[i, ti]
-    if code == "th":
-        return g[j, hi]
-    return g[j, ti]
-
-
 def _pair_products(g: np.ndarray, hi: np.ndarray, ti: np.ndarray) -> np.ndarray:
     """The pair-product factor a[i, (k, l)] = g_ik g_il over the given pairs."""
     return g[:, hi] * g[:, ti]
@@ -138,49 +135,49 @@ def _prefactor(kind: ComponentKind, params: WitnessParams) -> float:
 
 
 def build_component(graph: GraphInstance, params: WitnessParams, kind: ComponentKind) -> ComponentMatrix:
-    """Dense component matrix (pairs x pairs, or singletons x pairs for L)."""
+    """Dense component matrix (pairs x pairs, or singletons x pairs for L).
+
+    One cross-edge rule builds every kind.  A pair (i, j) has head end i
+    and tail end j; the L row of a singleton a has both ends a.  The code
+    xy gathers g[row end x, column end y].  J, Jtilde and L multiply their
+    codes' gathers, and J and L(1, nu) zero the entries whose index sets
+    overlap (g_ii = 0 zeroes them in Jtilde and L(2, 1)).  K sums, over the
+    codes whose row and column ends are equal, the gather of the flipped
+    code.  Rows are built _COMPONENT_ROW_CHUNK at a time.
+    """
     ix = SubsetIndexer(graph.n)
     g = graph.centered
-    hi = ix.pair_heads - 1
-    ti = ix.pair_tails - 1
-    npairs = ix.num_pairs
+    cols = {"h": ix.pair_heads - 1, "t": ix.pair_tails - 1}
+    if kind.family == "L":
+        ends = dict.fromkeys("ht", np.arange(graph.n))
+        codes = _L_EDGES[(kind.eta, kind.nu)]
+    else:
+        ends = cols
+        codes = EDGE_CHOICES.get((kind.eta, kind.nu))  # None for K
+    masked = kind.family == "J" or (kind.family == "L" and kind.eta == 1)
     pref = _prefactor(kind, params)
 
-    if kind.family == "L":
-        if kind.eta == 2:
-            # g_aa = 0 already zeroes the rows where a is k or l
-            vals = _pair_products(g, hi, ti)
+    vals = np.empty((ends["h"].size, cols["h"].size))
+    for start in range(0, vals.shape[0], _COMPONENT_ROW_CHUNK):
+        block = slice(start, start + _COMPONENT_ROW_CHUNK)
+        rows = {end: v[block] for end, v in ends.items()}
+        if codes is None:
+            # one code meets at a one-overlap entry, and the two that meet on
+            # the diagonal flip to g_ii = 0: each entry sums at most one g
+            out = np.zeros((rows["h"].size, vals.shape[1]))
+            for (x, y), (u, v) in _FLIP.items():
+                r, c = np.divmod(np.flatnonzero(rows[x][:, None] == cols[y]), vals.shape[1])
+                out[r, c] += g[rows[u][r], cols[v][c]]
         else:
-            rows = np.arange(graph.n)[:, None]
-            vals = g[:, hi if kind.nu == 1 else ti] * ((hi != rows) & (ti != rows))
-        return ComponentMatrix(kind=kind, values=pref * vals, prefactor=pref)
-
-    vals = np.empty((npairs, npairs))
-    if kind.family == "K":
-        for t in range(npairs):
-            i, j = int(hi[t]), int(ti[t])
-            share_i = (hi == i) | (ti == i)
-            share_j = (hi == j) | (ti == j)
-            one = share_i ^ share_j
-            row = np.zeros(npairs)
-            x = np.where(share_i[one], j, i)
-            y = hi[one] + ti[one] - np.where(share_i[one], i, j)
-            row[one] = g[x, y]
-            vals[t] = row
-        return ComponentMatrix(kind=kind, values=pref * vals, prefactor=pref)
-
-    codes = EDGE_CHOICES[(kind.eta, kind.nu)]
-    disjoint_only = kind.family == "J"
-    for t in range(npairs):
-        i, j = int(hi[t]), int(ti[t])
-        row = np.ones(npairs)
-        for code in codes:
-            row = row * _edge_factor(code, g, i, j, hi, ti)
-        if disjoint_only:
-            share = (hi == i) | (ti == i) | (hi == j) | (ti == j)
-            row[share] = 0.0
-        vals[t] = row
-    return ComponentMatrix(kind=kind, values=pref * vals, prefactor=pref)
+            (x, y), *rest = codes
+            out = g[rows[x]][:, cols[y]]
+            for x, y in rest:
+                out *= g[rows[x]][:, cols[y]]
+            if masked:
+                for x, y in _FLIP:
+                    out[rows[x][:, None] == cols[y]] = 0.0
+        np.multiply(pref, out, out=vals[block])
+    return ComponentMatrix(kind=kind, values=vals, prefactor=pref)
 
 
 # ----------------------------------------------------------------------

@@ -274,8 +274,8 @@ def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdRepor
     Small matrices take a dense eigendecomposition.  Larger ones attempt
     Cholesky factorizations of X + shift I over decreasing shifts; a success
     at shift s certifies the minimum eigenvalue above -s.  On failure the
-    smallest eigenvalue is computed densely unless refine is False, in which
-    case only the verdict is reported.
+    smallest eigenvalue is computed densely.  With refine False only the
+    verdict is reported, and the first factorization settles it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -328,7 +328,7 @@ def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdRepor
         _, info = potrf(shifted, lower=0, clean=0, overwrite_a=1)
         if info == 0:
             certified = shift
-        else:
+        if info != 0 or not refine:
             break
     if certified is not None:
         return PsdReport(min_eig_estimate=-certified, method="shifted-factorization",

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from cliquewitness import decomposition
 from cliquewitness.decomposition import (
+    _COMPONENT_ROW_CHUNK,
+    _DENSE_COMPONENT_LIMIT,
     _PAIR_CHUNK,
     build_component,
     class1_sum_norm,
@@ -17,7 +20,7 @@ from cliquewitness.decomposition import (
     verify_expansion_H12,
     verify_expansion_H22,
 )
-from cliquewitness.models import sample_er
+from cliquewitness.models import sample_er, sample_planted
 from cliquewitness.params import derive_alphas
 from cliquewitness.spectral import ProjectorFamily
 from cliquewitness.subsets import SubsetIndexer
@@ -25,8 +28,9 @@ from cliquewitness.subsets import SubsetIndexer
 PARAMS = derive_alphas(0.05, 0.5)
 
 
-def brute_force_component(graph, params, kind):
-    # entrywise oracle straight from the case definitions
+def brute_force_component(graph, params, kind, rows=None):
+    # entrywise oracle straight from the case definitions, on the given row
+    # indices (all rows by default; the others stay zero)
     ix = SubsetIndexer(graph.n)
     g = graph.centered
     pairs = [(int(h), int(t)) for h, t in zip(ix.pair_heads, ix.pair_tails)]
@@ -35,6 +39,8 @@ def brute_force_component(graph, params, kind):
     if kind.family == "L":
         out = np.zeros((graph.n, ix.num_pairs))
         for a in range(1, graph.n + 1):
+            if rows is not None and a - 1 not in rows:
+                continue
             for c, (h, t) in enumerate(pairs):
                 if a in (h, t):
                     continue
@@ -46,6 +52,8 @@ def brute_force_component(graph, params, kind):
         return out
     out = np.zeros((ix.num_pairs, ix.num_pairs))
     for r, a in enumerate(pairs):
+        if rows is not None and r not in rows:
+            continue
         for c, b in enumerate(pairs):
             shared = len(set(a) & set(b))
             if kind.family == "K":
@@ -93,15 +101,34 @@ def test_component_kind_validation():
 
 
 def test_components_match_brute_force():
-    g = sample_er(7, 0.5, seed=13)
+    graphs = [sample_er(n, p, seed=13 + n) for n in (5, 7, 12) for p in (0.1, 0.5, 0.9)]
+    graphs.append(sample_planted(8, 0.5, 5, seed=3))
     kinds = [ComponentKind("K"), ComponentKind("L", 1, 1), ComponentKind("L", 1, 2),
              ComponentKind("L", 2, 1)]
     kinds += [ComponentKind("J", eta, nu) for eta, nu in EDGE_CHOICES]
     kinds += [ComponentKind("Jtilde", eta, nu) for eta, nu in EDGE_CHOICES]
-    for kind in kinds:
-        got = build_component(g, PARAMS, kind)
-        oracle = brute_force_component(g, PARAMS, kind)
-        assert np.max(np.abs(got.values - oracle)) <= 1e-15, kind.label()
+    for graph in graphs:
+        params = derive_alphas(0.05, graph.p)
+        for kind in kinds:
+            got = build_component(graph, params, kind)
+            oracle = brute_force_component(graph, params, kind)
+            assert np.max(np.abs(got.values - oracle)) <= 1e-15, (graph.n, graph.p, kind.label())
+
+
+def test_components_match_brute_force_across_row_blocks():
+    n = 70
+    # L has n rows and the pair kinds C(n, 2): both span several row blocks
+    assert n > _COMPONENT_ROW_CHUNK
+    g = sample_er(n, 0.5, seed=17)
+    rng = np.random.default_rng(4)
+    for kind in (ComponentKind("K"), ComponentKind("J", 2, 4), ComponentKind("Jtilde", 3, 2),
+                 ComponentKind("L", 1, 2)):
+        got = build_component(g, PARAMS, kind).values
+        # sampled rows, the last one (in the last block) among them
+        rows = set(rng.choice(got.shape[0], size=5, replace=False).tolist()) | {got.shape[0] - 1}
+        oracle = brute_force_component(g, PARAMS, kind, rows)
+        for r in rows:
+            assert np.max(np.abs(got[r] - oracle[r])) <= 1e-15, (kind.label(), r)
 
 
 def test_prefactors():
@@ -208,6 +235,16 @@ def test_component_norms_match_dense():
             want = np.linalg.norm(build_component(g, PARAMS, kind).values, 2)
             got = component_norm(g, PARAMS, kind)
             assert abs(got - want) <= 1e-6 * max(want, 1e-300), (n, kind.label())
+
+
+def test_component_norm_rejects_dense_route_above_limit(monkeypatch):
+    def no_dense_build(*args):
+        raise AssertionError("built a dense component above the limit")
+
+    monkeypatch.setattr(decomposition, "build_component", no_dense_build)
+    g = sample_er(_DENSE_COMPONENT_LIMIT + 1, 0.5, seed=0)
+    with pytest.raises(ValueError, match="no matrix-free route"):
+        component_norm(g, PARAMS, ComponentKind("J", 2, 1))
 
 
 def test_expansions_are_exact():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cliquewitness import spectral
 from cliquewitness.models import GraphInstance, sample_er
 from cliquewitness.params import WitnessParams, derive_alphas
 from cliquewitness.spectral import (
@@ -185,13 +186,30 @@ def test_psd_check_tolerance_semantics():
     assert psd_check(np.diag([1.0, 1.0, -1e-4]), tol=1e-8).psd is False
 
 
-def test_psd_check_large_factorization_path():
+def test_psd_check_large_factorization_path(monkeypatch):
+    calls = []
+
+    def counting_lapack_funcs(names, arrays):
+        (potrf,) = scipy.linalg.get_lapack_funcs(names, arrays)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return potrf(*args, **kwargs)
+
+        return (counted,)
+
+    monkeypatch.setattr(spectral, "get_lapack_funcs", counting_lapack_funcs)
     rng = np.random.default_rng(5)
     a = rng.standard_normal((650, 660))
     gram = a @ a.T
     rep = psd_check(gram)
     assert rep.psd
     assert rep.method == "shifted-factorization"
+    assert len(calls) == 3  # refine walks the whole shift ladder
+    calls.clear()
+    rep = psd_check(gram, refine=False)
+    assert rep.psd
+    assert len(calls) == 1  # the first success settles the verdict
     spiked = gram.copy()
     spiked[0, 0] -= np.linalg.eigvalsh(gram)[0] + 1.0 + gram[0, 0]
     assert psd_check(spiked, refine=False).psd is False  # Cholesky fails
