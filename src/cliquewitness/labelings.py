@@ -16,6 +16,7 @@ probability.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, exp, log, sqrt
@@ -238,6 +239,13 @@ def _acyclic(num: int, arcs: Sequence[Tuple[int, int]]) -> bool:
 
 def enumerate_contributing(primitive: PrimitiveGraph) -> List[LabelingPartition]:
     """All set partitions that are realizable and contributing."""
+    return list(_contributing(primitive))
+
+
+# v_star, count_contributing and count_bound read the same enumeration; one
+# cached primitive lets consecutive queries on it share a single enumeration
+@functools.lru_cache(maxsize=1)
+def _contributing(primitive: PrimitiveGraph) -> Tuple[LabelingPartition, ...]:
     verts = primitive.vertices
     nv = len(verts)
     if nv > _ENUMERATION_BUDGET:
@@ -247,13 +255,13 @@ def enumerate_contributing(primitive: PrimitiveGraph) -> List[LabelingPartition]
     couples = [(index[u], index[v]) for u, v in primitive.couples]
     for u, v in couples:
         if u == v:
-            return []  # a collapsed couple admits no valid labeling
+            return ()  # a collapsed couple admits no valid labeling
 
     # conflicting(i) = vertices that may never share a block with i
     conflict = [set() for _ in range(nv)]
     for u, v in edges:
         if u == v:
-            return []
+            return ()
         conflict[u].add(v)
         conflict[v].add(u)
     for u, v in couples:
@@ -295,12 +303,12 @@ def enumerate_contributing(primitive: PrimitiveGraph) -> List[LabelingPartition]
             descend(i + 1, max(num_blocks, b + 1))
 
     descend(0, 0)
-    return out
+    return tuple(out)
 
 
 def v_star(primitive: PrimitiveGraph) -> int:
     """Maximum distinct-label count over contributing labelings (0 if none)."""
-    partitions = enumerate_contributing(primitive)
+    partitions = _contributing(primitive)
     if not partitions:
         return 0
     return max(len(p.blocks) for p in partitions)
@@ -329,7 +337,7 @@ def _linear_extensions(num: int, arcs: Sequence[Tuple[int, int]]) -> int:
 def count_contributing(primitive: PrimitiveGraph, n: int) -> int:
     """Number of contributing labelings with labels in [n]."""
     total = 0
-    for part in enumerate_contributing(primitive):
+    for part in _contributing(primitive):
         b = len(part.blocks)
         total += comb(n, b) * _linear_extensions(b, part.order_constraints)
     return total

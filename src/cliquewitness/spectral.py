@@ -268,14 +268,30 @@ def _max_asymmetry(x: np.ndarray) -> float:
     return worst
 
 
+def _factors(potrf, x: np.ndarray, shift: float) -> bool:
+    """True when the Cholesky factorization of X + shift I succeeds."""
+    # Fortran order, so potrf factors this copy in place
+    shifted = np.array(x, order="F")
+    shifted[np.diag_indices(x.shape[0])] += shift
+    _, info = potrf(shifted, lower=0, clean=0, overwrite_a=1)
+    return info == 0
+
+
+def _require_symmetric(x: np.ndarray, scale: float) -> None:
+    asym = _max_asymmetry(x)
+    if asym > 1e-10 * scale:
+        raise ValueError(f"matrix is not symmetric: max |X - X^T| = {asym}")
+
+
 def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdReport:
     """Certify positive semidefiniteness up to tol * max |diagonal|.
 
-    Small matrices take a dense eigendecomposition.  Larger ones attempt
-    Cholesky factorizations of X + shift I over decreasing shifts; a success
-    at shift s certifies the minimum eigenvalue above -s.  On failure the
-    smallest eigenvalue is computed densely.  With refine False only the
-    verdict is reported, and the first factorization settles it.
+    With refine False only the verdict is reported: one Cholesky
+    factorization of X + tol * scale * I settles it at every dimension.
+    Otherwise small matrices take a dense eigendecomposition, and larger
+    ones attempt Cholesky factorizations of X + shift I over decreasing
+    shifts; a success at shift s certifies the minimum eigenvalue above -s.
+    On failure the smallest eigenvalue is computed densely.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -286,31 +302,41 @@ def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdRepor
         scale = float(np.max(np.abs(x))) if x.size else 1.0
     if scale == 0.0:
         scale = 1.0
-    asym = _max_asymmetry(x)
-    if asym > 1e-10 * scale:
-        raise ValueError(f"matrix is not symmetric: max |X - X^T| = {asym}")
     dim = x.shape[0]
     threshold = -tol * scale
 
     # exactly-zero diagonal entries force their whole row to zero in any PSD
-    # matrix; verified-zero rows can be dropped without changing the verdict
+    # matrix; verified-zero rows can be dropped without changing the verdict.
+    # The dropped rows and columns vanish when the kept block holds every
+    # nonzero; X is then symmetric exactly when the block is.
     zero = diag == 0.0
     dropped = bool(zero.any())
     if dropped:
-        block = x[zero]
-        if np.any(block):
-            flat = int(np.argmax(np.abs(block)))
-            a = float(np.abs(block).ravel()[flat])
-            d = float(diag[flat % dim])
-            est = 0.5 * (d - np.sqrt(d * d + 4.0 * a * a))
-            return PsdReport(min_eig_estimate=est, method="zero-diagonal-row",
-                             tol=tol, psd=False, scale=scale)
         keep = ~zero
-        x = np.ascontiguousarray(x[np.ix_(keep, keep)])
+        kept = np.ascontiguousarray(x[np.ix_(keep, keep)])
+        if np.count_nonzero(kept) != np.count_nonzero(x):
+            _require_symmetric(x, scale)
+            rows = x[zero]
+            if np.any(rows):
+                flat = int(np.argmax(np.abs(rows)))
+                a = float(np.abs(rows).ravel()[flat])
+                d = float(diag[flat % dim])
+                est = 0.5 * (d - np.sqrt(d * d + 4.0 * a * a))
+                return PsdReport(min_eig_estimate=est, method="zero-diagonal-row",
+                                 tol=tol, psd=False, scale=scale)
+        x = kept
         dim = x.shape[0]
         if dim == 0:
             return PsdReport(min_eig_estimate=0.0, method="zero-matrix",
                              tol=tol, psd=True, scale=scale)
+    _require_symmetric(x, scale)
+
+    if not refine:
+        (potrf,) = get_lapack_funcs(("potrf",), (x,))
+        shift = tol * scale
+        ok = _factors(potrf, x, shift)
+        return PsdReport(min_eig_estimate=-shift if ok else -np.inf,
+                         method="shifted-factorization", tol=tol, psd=ok, scale=scale)
 
     if dim <= _DENSE_EIG_CUTOFF:
         est = float(eigvalsh(x, check_finite=False)[0])
@@ -322,20 +348,12 @@ def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdRepor
     (potrf,) = get_lapack_funcs(("potrf",), (x,))
     certified = None
     for shift in (tol * scale, tol * scale * 1e-4, 0.0):
-        # Fortran order, so potrf factors this copy in place
-        shifted = np.array(x, order="F")
-        shifted[np.diag_indices(dim)] += shift
-        _, info = potrf(shifted, lower=0, clean=0, overwrite_a=1)
-        if info == 0:
-            certified = shift
-        if info != 0 or not refine:
+        if not _factors(potrf, x, shift):
             break
+        certified = shift
     if certified is not None:
         return PsdReport(min_eig_estimate=-certified, method="shifted-factorization",
                          tol=tol, psd=True, scale=scale)
-    if not refine:
-        return PsdReport(min_eig_estimate=-np.inf, method="shifted-factorization",
-                         tol=tol, psd=False, scale=scale)
     est = float(eigvalsh(x, subset_by_index=[0, 0], check_finite=False)[0])
     if dropped:
         est = min(est, 0.0)

@@ -79,14 +79,12 @@ class MomentMatrix:
         return float(self.values[idx, idx].sum())
 
 
-def _full_matrix(graph: GraphInstance, ix: SubsetIndexer, kind: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Union sizes |A u B| (int8) and the 0/1 support of kind M or N.
+def _labels(graph: GraphInstance, ix: SubsetIndexer) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-padded (first, second) labels of every subset, and the padded adjacency.
 
-    Every subset is a 0-padded label pair (first, second), so the empty set
-    is (0, 0) and a singleton {v} is (0, v).  In the padded adjacency, label
-    0 and the diagonal count as adjacent.  The support of N is the product
-    of the cross edges between A \\ B and B \\ A; M also needs A and B to be
-    cliques (M = D N D).  The sizes depend on n alone.
+    The empty set is (0, 0) and a singleton {v} is (0, v).  In the padded
+    adjacency, label 0 and the diagonal count as adjacent, so a subset is a
+    clique exactly when adj[first, second] holds.
     """
     n, dim = ix.n, ix.dim
     first = np.zeros(dim, dtype=np.int64)
@@ -96,6 +94,28 @@ def _full_matrix(graph: GraphInstance, ix: SubsetIndexer, kind: str) -> Tuple[np
     second[n + 1 :] = ix.pair_tails
     adj = np.ones((n + 1, n + 1), dtype=bool)
     adj[1:, 1:] = graph.adjacency | np.eye(n, dtype=bool)
+    return first, second, adj
+
+
+def _clique_subsets(graph: GraphInstance, ix: SubsetIndexer) -> np.ndarray:
+    """Indices of the subsets that are cliques: the rows where M can be nonzero."""
+    first, second, adj = _labels(graph, ix)
+    return np.flatnonzero(adj[first, second])
+
+
+def _full_matrix(
+    graph: GraphInstance, ix: SubsetIndexer, kind: str, index: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Union sizes |A u B| (int8) and the 0/1 support of kind M or N.
+
+    Rows and columns span the subsets at positions `index` of the indexer.
+    The support of N is the product of the cross edges between A \\ B and
+    B \\ A; M also needs A and B to be cliques (M = D N D).  The sizes depend
+    on n alone.
+    """
+    first, second, adj = _labels(graph, ix)
+    first, second = first[index], second[index]
+    dim = len(first)
     count = (first > 0).astype(np.int8) + (second > 0)
     clique = adj[first, second]
 
@@ -127,7 +147,7 @@ def build_matrix(graph: GraphInstance, params: WitnessParams, kind: str) -> Mome
             f"edge probability mismatch: params.p={params.p}, graph.p={graph.p}"
         )
     ix = SubsetIndexer(graph.n)
-    sizes, support = _full_matrix(graph, ix, "M" if kind == "M" else "N")
+    sizes, support = _full_matrix(graph, ix, "M" if kind == "M" else "N", np.arange(ix.dim))
     values = params.by_union_size()[sizes]
     values[~support] = 0.0  # in place: np.where would hold a second dense copy
     if kind in ("M", "N"):
@@ -186,36 +206,55 @@ def _union_patterns(size: int) -> list:
     ]
 
 
-def _unions_agree(values: np.ndarray, ix: SubsetIndexer) -> bool:
-    """True when the matrix is symmetric and constant on each union A u B.
+def _extend_cliques(cliques: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    """Cliques one vertex larger: each row plus a common neighbour above its last label."""
+    common = np.arange(1, adjacency.shape[0] + 1) > cliques[:, -1:]
+    for labels in cliques.T:
+        common &= adjacency[labels - 1]
+    rows, extra = np.nonzero(common)
+    return np.column_stack([cliques[rows], extra + 1])
 
-    After the symmetry test, each union U of size 1-4 is checked by
-    gathering the entries at the fixed positions that produce it, in blocks
-    of the unions that share their smallest vertex.
+
+def _clique_unions(adjacency: np.ndarray) -> dict:
+    """Every clique of 1-4 vertices as sorted 1-based labels, keyed by size."""
+    unions = {1: np.arange(1, adjacency.shape[0] + 1)[:, None]}
+    unions[2] = np.argwhere(np.triu(adjacency, 1)) + 1
+    for size in (3, 4):
+        unions[size] = _extend_cliques(unions[size - 1], adjacency)
+    return unions
+
+
+def _entry_unions(first: np.ndarray, second: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> dict:
+    """The label sets A u B of the entries (rows, cols), keyed by union size."""
+    labels = np.sort(np.stack([first[rows], second[rows], first[cols], second[cols]], axis=1), axis=1)
+    labels[:, 1:][labels[:, 1:] == labels[:, :-1]] = 0
+    labels.sort(axis=1)
+    size = np.count_nonzero(labels, axis=1)
+    return {k: labels[size == k, 4 - k :] for k in range(1, 5)}
+
+
+def _unions_agree(values: np.ndarray, ix: SubsetIndexer, unions: dict) -> bool:
+    """True when each listed union U takes one value at every (A, B) with A u B = U.
+
+    `unions[size]` holds one union per row as `size` vertex labels; each is
+    checked by gathering the fixed positions that produce it, one orientation
+    per position (the caller tests symmetry).
     """
-    if not np.array_equal(values, values.T):
-        return False
     n = ix.n
     index = np.zeros((n + 1, n + 1), dtype=np.int64)
     index[0, 1:] = index[1:, 0] = np.arange(1, n + 1)
     pairs = np.arange(n + 1, ix.dim)
     index[ix.pair_heads, ix.pair_tails] = index[ix.pair_tails, ix.pair_heads] = pairs
-    for size in range(1, 5):
-        patterns = _union_patterns(size)
-        combos = list(combinations(range(2, n + 1), size - 1))
-        rest = np.array(combos, dtype=np.int64).reshape(len(combos), size - 1)
-        for v in range(1, n - size + 2):
-            tail = rest[rest[:, 0] > v] if size > 1 else rest
-            # column 0 holds label 0, so pattern labels index the columns
-            unions = np.zeros((len(tail), size + 1), dtype=np.int64)
-            unions[:, 1] = v
-            unions[:, 2:] = tail
-            got = np.stack([
-                values[index[unions[:, a1], unions[:, a2]], index[unions[:, b1], unions[:, b2]]]
-                for (a1, a2), (b1, b2) in patterns
-            ], axis=1)
-            if not np.array_equal(got, np.broadcast_to(got[:, :1], got.shape)):
-                return False
+    for size, listed in unions.items():
+        # column 0 holds label 0, so pattern labels index the columns
+        labels = np.zeros((len(listed), size + 1), dtype=np.int64)
+        labels[:, 1:] = listed
+        got = np.stack([
+            values[index[labels[:, a1], labels[:, a2]], index[labels[:, b1], labels[:, b2]]]
+            for (a1, a2), (b1, b2) in _union_patterns(size)
+        ], axis=1)
+        if not np.array_equal(got, np.broadcast_to(got[:, :1], got.shape)):
+            return False
     return True
 
 
@@ -229,6 +268,13 @@ def check_sos_feasibility(
     a clique; entries agree exactly whenever the unions agree; the matrix is
     PSD up to tol (relative to the largest diagonal entry).  The first four
     are exact comparisons, not tolerance-based.
+
+    The first four run on the block of clique rows and columns once the
+    other rows and columns are seen to vanish, and on the whole matrix
+    otherwise.  A union that is not a clique has a position with a
+    non-clique side, so its positions agree exactly when none holds a
+    nonzero entry off the support: the union audit lists the clique unions
+    of the graph and the unions of those entries.
     """
     if mat.kind != "M":
         raise ValueError(f"feasibility checks apply to kind 'M', got {mat.kind}")
@@ -236,10 +282,26 @@ def check_sos_feasibility(
         raise ValueError(f"dimension mismatch: matrix n={mat.n}, graph n={graph.n}")
     ix = mat.indexer
     values = mat.values
-    _, support = _full_matrix(graph, ix, "M")
-    in_range = bool(np.all(values >= 0.0) and np.all(values <= 1.0))
-    off_clique_ok = not np.any(values, where=~support)
-    union_ok = _unions_agree(values, ix)
+    first, second, adj = _labels(graph, ix)
+    index = np.flatnonzero(adj[first, second])
+    region = values[np.ix_(index, index)]
+    if np.count_nonzero(region) != np.count_nonzero(values):
+        # a non-clique row or column carries mass: test the whole matrix
+        index, region = np.arange(ix.dim), values
+    _, support = _full_matrix(graph, ix, "M", index)
+    in_range = bool(np.all(region >= 0.0) and np.all(region <= 1.0))
+    union_ok = np.array_equal(region, region.T) and _unions_agree(
+        values, ix, _clique_unions(graph.adjacency)
+    )
+    # off-support nonzeros, a block of rows at a time: each fails the support
+    # test, and the union audit lists their unions
+    stray = 0
+    for start in range(0, len(index), _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        r, c = np.nonzero((region[rows] != 0.0) & ~support[rows])
+        stray += r.size
+        if union_ok and r.size:
+            union_ok = _unions_agree(values, ix, _entry_unions(first, second, index[r + start], index[c]))
 
     psd_report = psd_check(values, tol=tol)
     offset = 1
@@ -247,7 +309,7 @@ def check_sos_feasibility(
     return FeasibilityReport(
         empty_entry_is_one=bool(values[0, 0] == 1.0),
         entries_in_range=in_range,
-        vanishes_off_cliques=off_clique_ok,
+        vanishes_off_cliques=stray == 0,
         union_symmetric=union_ok,
         psd=psd_report.psd,
         objective=float(values[idx, idx].sum()),

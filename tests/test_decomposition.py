@@ -254,6 +254,23 @@ def test_expansions_are_exact():
         assert verify_expansion_H12(g, PARAMS) <= 1e-15 * PARAMS.alpha2
 
 
+def test_expansion_h22_builds_each_component_once(monkeypatch):
+    # K, J(2,1), J(2,6), J(4,1), J(3,1..4), and J and Jtilde of (1,1..4)
+    # and (2,2..5): 24 distinct components
+    built = []
+    original = decomposition.build_component
+
+    def counted(graph, params, kind):
+        built.append(kind)
+        return original(graph, params, kind)
+
+    monkeypatch.setattr(decomposition, "build_component", counted)
+    g = sample_er(15, 0.5, seed=0)
+    assert verify_expansion_H22(g, PARAMS) <= 1e-15 * PARAMS.alpha2
+    assert len(built) == 24
+    assert len(set(built)) == 24
+
+
 def test_kernel_identities_vanish():
     g = sample_er(12, 0.5, seed=4)
     rep = kernel_identities(g, PARAMS)

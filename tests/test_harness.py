@@ -71,6 +71,19 @@ def expansion_config(**kw):
     )
 
 
+def test_psd_frontier_pin():
+    # n=40 bisection at seed0 0, pinned to the last bit: a verdict that
+    # drifts at any step of the search moves kappa*
+    cfg = ExperimentConfig(
+        experiment="psd_frontier", n_grid=(40,), kappa_rule="binary_search", trials=10
+    )
+    (record, _) = run(cfg)
+    assert dict(record.aggregates) == {
+        "kappa_star": 0.010436495435419099,
+        "success_fraction": 0.9,
+    }
+
+
 def test_run_and_emit_are_deterministic():
     cfg = expansion_config()
     first = emit(run(cfg), "csv", None, cfg)

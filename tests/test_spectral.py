@@ -186,7 +186,9 @@ def test_psd_check_tolerance_semantics():
     assert psd_check(np.diag([1.0, 1.0, -1e-4]), tol=1e-8).psd is False
 
 
-def test_psd_check_large_factorization_path(monkeypatch):
+@pytest.fixture
+def potrf_calls(monkeypatch):
+    """One entry per potrf call that psd_check makes."""
     calls = []
 
     def counting_lapack_funcs(names, arrays):
@@ -199,6 +201,33 @@ def test_psd_check_large_factorization_path(monkeypatch):
         return (counted,)
 
     monkeypatch.setattr(spectral, "get_lapack_funcs", counting_lapack_funcs)
+    return calls
+
+
+def test_psd_check_verdict_is_one_factorization(potrf_calls):
+    # below the dense cutoff too, a verdict-only check is one Cholesky of
+    # X + tol * scale * I, and it agrees with the eigenvalue verdict a
+    # decade either side of the threshold
+    tol = 1e-8
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((40, 40)))
+    base = (q * np.linspace(0.0, 1.0, 40)) @ q.T
+    base = 0.5 * (base + base.T)
+    scale = float(np.max(np.diagonal(base)))
+    for gap in (10.0, -10.0):
+        x = base + gap * tol * scale * np.eye(40)
+        lowest = scipy.linalg.eigvalsh(x)[0]
+        want = lowest >= -tol * np.max(np.diagonal(x))
+        assert want == (gap > 0)
+        potrf_calls.clear()
+        rep = psd_check(x, tol=tol, refine=False)
+        assert len(potrf_calls) == 1
+        assert rep.psd == want
+        assert rep.method == "shifted-factorization"
+        assert psd_check(x, tol=tol).psd == want  # the dense eigenvalue route
+
+
+def test_psd_check_large_factorization_path(potrf_calls):
+    calls = potrf_calls
     rng = np.random.default_rng(5)
     a = rng.standard_normal((650, 660))
     gram = a @ a.T
@@ -248,6 +277,19 @@ def test_psd_check_zero_row_compression():
     neg = big.copy()
     neg[np.ix_(keep, keep)] = gram - 2 * np.linalg.eigvalsh(gram)[-1] * np.eye(6)
     assert psd_check(neg).psd is False
+
+
+def test_psd_check_dropped_rows_and_columns_stay_symmetric():
+    # a zero-diagonal row whose one nonzero sits on one side only: the row
+    # and column are dropped, yet the full matrix is not symmetric
+    for r, c in ((3, 1), (1, 3)):
+        x = np.eye(5)
+        x[3, 3] = 0.0
+        x[r, c] = 0.5
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_check(x)
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_check(x, refine=False)
 
 
 def test_psd_check_zero_diagonal_with_coupling_fails_fast():

@@ -228,6 +228,98 @@ def test_feasibility_flags_each_union_size(a, b, mirrored):
     assert not rep.union_symmetric
 
 
+def reference_flags(values, graph):
+    # the full-matrix flag computation: every entry's range and support,
+    # and every union of subsets, one group of entries per union, checked
+    # over both orientations of each entry (so the group test includes
+    # symmetry)
+    subsets = SubsetIndexer(graph.n).all_subsets()
+    support_ok, groups = True, {}
+    for r, a in enumerate(subsets):
+        for c, b in enumerate(subsets):
+            union = frozenset(a | b)
+            if values[r, c] != 0.0 and not clique_indicator(graph, union):
+                support_ok = False
+            groups.setdefault(union, set()).add(values[r, c])
+    return (
+        bool(values[0, 0] == 1.0),
+        bool(np.all((0.0 <= values) & (values <= 1.0))),
+        support_ok,
+        all(len(seen) == 1 for seen in groups.values()),
+    )
+
+
+def _block_edit(vals, ix, g):
+    # disagreement inside the clique block: a clique pair against the empty set
+    i, j = sorted(g.planted)[:2]
+    vals[ix.pair_index(i, j), 0] = vals[0, ix.pair_index(i, j)] = vals[0, 1] * 0.5
+
+
+def _non_edge(g):
+    return next(
+        (u, w) for u in range(1, g.n + 1) for w in range(u + 1, g.n + 1)
+        if not g.adjacency[u - 1, w - 1]
+    )
+
+
+def _one_sided_non_clique_row(vals, ix, g):
+    vals[ix.pair_index(*_non_edge(g)), 1] = 5e-324
+
+
+def _off_support_in_block(vals, ix, g):
+    # two singletons are cliques; a non-edge between them is not
+    u, w = _non_edge(g)
+    vals[ix.index_of([u]), ix.index_of([w])] = vals[ix.index_of([w]), ix.index_of([u])] = 0.25
+
+
+def _non_clique_union(vals, ix, g, second):
+    # two positions of the union {u, w}, one of them in a non-clique row
+    u, w = _non_edge(g)
+    r, a, b = ix.pair_index(u, w), ix.index_of([u]), ix.index_of([w])
+    vals[r, 0] = vals[0, r] = 0.25
+    vals[a, b] = vals[b, a] = second
+
+
+def _whole_non_clique_union(vals, ix, g):
+    # every position of {u, w} holds one value: the union agrees, the
+    # support does not
+    u, w = _non_edge(g)
+    r, a, b = ix.pair_index(u, w), ix.index_of([u]), ix.index_of([w])
+    for x, y in ((r, 0), (r, a), (r, b), (r, r), (a, b)):
+        vals[x, y] = vals[y, x] = 0.25
+
+
+def _negative_in_non_clique_row(vals, ix, g):
+    r = ix.pair_index(*_non_edge(g))
+    vals[r, 0] = vals[0, r] = -0.25
+
+
+FEASIBILITY_EDITS = {
+    "none": lambda vals, ix, g: None,
+    "block": _block_edit,
+    "one_sided_non_clique_row": _one_sided_non_clique_row,
+    "negative_in_non_clique_row": _negative_in_non_clique_row,
+    "off_support_in_block": _off_support_in_block,
+    "non_clique_union_disagrees": lambda vals, ix, g: _non_clique_union(vals, ix, g, 0.5),
+    "non_clique_union_agrees_in_part": lambda vals, ix, g: _non_clique_union(vals, ix, g, 0.25),
+    "non_clique_union_agrees": _whole_non_clique_union,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(FEASIBILITY_EDITS))
+@pytest.mark.parametrize("n, k, seed", [(8, 5, 1), (12, 5, 8)])
+def test_feasibility_flags_match_full_matrix_reference(edit, n, k, seed):
+    g = sample_planted(n, 0.5, k, seed=seed)
+    pr = derive_alphas(0.01, 0.5)
+    mat = build_matrix(g, pr, "M")
+    vals = mat.values.copy()
+    FEASIBILITY_EDITS[edit](vals, mat.indexer, g)
+    rep = check_sos_feasibility(MomentMatrix(mat.indexer, "M", vals, pr), g)
+    got = (rep.empty_entry_is_one, rep.entries_in_range, rep.vanishes_off_cliques,
+           rep.union_symmetric)
+    assert got == reference_flags(vals, g)
+
+
 def test_rejects_non_m_kind_feasibility():
     g = sample_er(5, 0.5, seed=0)
     with pytest.raises(ValueError):
