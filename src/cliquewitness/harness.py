@@ -146,40 +146,33 @@ def _frontier_for_n(config: ExperimentConfig, n: int) -> Tuple[float, List[int]]
         _witness_structures(n, config.p, config.seed0 + t)
         for t in range(config.trials)
     ]
-    needed = ceil(0.9 * config.trials)
+    allowed_fails = config.trials - ceil(0.9 * config.trials)
 
-    def ok(kappa: float) -> bool:
-        allowed_fails = config.trials - needed
-        fails = 0
+    def verdicts(kappa: float) -> Optional[List[int]]:
+        """Per-graph PSD verdicts at kappa, or None once too many fail."""
+        table = derive_alphas(kappa, config.p).by_union_size()
+        out: List[int] = []
         for sizes, mask in cache:
-            table = derive_alphas(kappa, config.p).by_union_size()
-            values = np.where(mask, table[sizes], 0.0)
-            if not psd_check(values, tol=tol, refine=False).psd:
-                fails += 1
-                if fails > allowed_fails:
-                    return False
-        return True
+            out.append(int(psd_check(np.where(mask, table[sizes], 0.0), tol=tol).psd))
+            if out.count(0) > allowed_fails:
+                return None
+        return out
 
+    # kappa* is the last kappa that passed; its verdicts are the outcomes
     lo, hi = _KAPPA_LO, _KAPPA_HI
-    if not ok(lo):
-        lo = float("nan")
-    elif ok(hi):
-        lo = hi
-    else:
-        for _ in range(_BISECTION_STEPS):
-            mid = float(np.sqrt(lo * hi))
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-    outcomes: List[int] = []
-    if np.isfinite(lo):
-        for sizes, mask in cache:
-            table = derive_alphas(lo, config.p).by_union_size()
-            values = np.where(mask, table[sizes], 0.0)
-            outcomes.append(int(psd_check(values, tol=tol, refine=False).psd))
-    else:
-        outcomes = [0] * config.trials
+    outcomes = verdicts(lo)
+    if outcomes is None:
+        return float("nan"), [0] * config.trials
+    top = verdicts(hi)
+    if top is not None:
+        return hi, top
+    for _ in range(_BISECTION_STEPS):
+        mid = float(np.sqrt(lo * hi))
+        got = verdicts(mid)
+        if got is None:
+            hi = mid
+        else:
+            lo, outcomes = mid, got
     return lo, outcomes
 
 

@@ -11,7 +11,7 @@ and the certification utilities built on top of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log, sqrt
+from math import comb, fsum, log, sqrt
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -249,9 +249,10 @@ def expected_H12_norms(n: int, params: WitnessParams) -> H12NormTable:
 
 @dataclass(frozen=True)
 class PsdReport:
-    """Verdict and minimum-eigenvalue estimate of a symmetric matrix."""
+    """A one-Cholesky PSD verdict; certified_min_eig (see psd_check) is a
+    lower bound on the smallest eigenvalue when psd holds, else None."""
 
-    min_eig_estimate: float
+    certified_min_eig: Optional[float]
     method: str
     tol: float
     psd: bool
@@ -259,39 +260,51 @@ class PsdReport:
 
 
 def _max_asymmetry(x: np.ndarray) -> float:
-    """max |X - X^T|, one block of rows against its column slab at a time."""
+    """max |X - X^T|, one block of rows against its column slab at a time;
+    NaN propagates."""
     worst = 0.0
     for lo in range(0, x.shape[0], _SYM_BLOCK):
         rows = slice(lo, lo + _SYM_BLOCK)
         gap = np.abs(x[rows, lo:] - x[lo:, rows].T)
-        worst = max(worst, float(gap.max()))
+        worst = float(np.maximum(worst, gap.max()))
     return worst
 
 
-def _factors(potrf, x: np.ndarray, shift: float) -> bool:
-    """True when the Cholesky factorization of X + shift I succeeds."""
-    # Fortran order, so potrf factors this copy in place
-    shifted = np.array(x, order="F")
-    shifted[np.diag_indices(x.shape[0])] += shift
-    _, info = potrf(shifted, lower=0, clean=0, overwrite_a=1)
-    return info == 0
-
-
-def _require_symmetric(x: np.ndarray, scale: float) -> None:
+def _require_symmetric(x: np.ndarray, scale: float) -> float:
     asym = _max_asymmetry(x)
+    if np.isnan(asym):  # a NaN entry, or an inf facing an inf (as on the diagonal)
+        raise ValueError("matrix has a non-finite entry")
     if asym > 1e-10 * scale:
         raise ValueError(f"matrix is not symmetric: max |X - X^T| = {asym}")
+    return asym
 
 
-def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdReport:
+def psd_check(x: np.ndarray, tol: float = 1e-8) -> PsdReport:
     """Certify positive semidefiniteness up to tol * max |diagonal|.
 
-    With refine False only the verdict is reported: one Cholesky
-    factorization of X + tol * scale * I settles it at every dimension.
-    Otherwise small matrices take a dense eigendecomposition, and larger
-    ones attempt Cholesky factorizations of X + shift I over decreasing
-    shifts; a success at shift s certifies the minimum eigenvalue above -s.
-    On failure the smallest eigenvalue is computed densely.
+    Rows with a zero diagonal entry are dropped (in a PSD matrix they vanish;
+    one that carries mass gives False).  One Cholesky factorization (potrf,
+    upper triangle) of the rest, Y = fl(K + s I) with s = tol * scale,
+    decides.  Its success certifies lambda_min((X + X^T) / 2) >= -s - delta,
+
+        delta = g tr(Y) + 2 d (d + 1 + m) eta + u m + D max |X - X^T| / 2,
+
+    d = dim Y, m = max y_ii, D the side tested for symmetry, u = 2^-53,
+    eta = 2^-1074, g = gamma_{d+1} / (1 - gamma_{d+1}), gamma_k = k u / (1 - k u).
+    g tr(Y) bounds ||R^T R - Y||_2: Higham (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3) gives |R^T R - Y| <=
+    gamma_{d+1} |R^T| |R| in any summation order, and Cauchy-Schwarz the
+    trace form, as in Rump (Verification of positive definiteness, BIT 46,
+    2006, Thm 2.3).  The eta term bounds gradual underflow (eta / 2 per
+    product or quotient, sums exact) with a factor 2 of slack, u m the
+    rounding of the shifted diagonal, and the last term the gap between
+    (X + X^T) / 2 and the upper triangle potrf reads.  delta is rounded up
+    and the certificate down.  A failed factorization certifies nothing; a
+    matrix with no nonzero entry (0 x 0 too) is PSD with certificate 0.0.
+
+    Raises ValueError on a non-square input, an asymmetry beyond
+    1e-10 * scale, or a NaN or infinite entry (dropped rows that hold a
+    nonzero are tested too).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -302,63 +315,44 @@ def psd_check(x: np.ndarray, tol: float = 1e-8, refine: bool = True) -> PsdRepor
         scale = float(np.max(np.abs(x))) if x.size else 1.0
     if scale == 0.0:
         scale = 1.0
-    dim = x.shape[0]
-    threshold = -tol * scale
 
-    # exactly-zero diagonal entries force their whole row to zero in any PSD
-    # matrix; verified-zero rows can be dropped without changing the verdict.
     # The dropped rows and columns vanish when the kept block holds every
-    # nonzero; X is then symmetric exactly when the block is.
+    # nonzero (a NaN counts as one); X is then symmetric exactly when the
+    # block is, and only the block is tested.  Otherwise all of X is tested,
+    # and a dropped row that carries mass rules PSD out.
     zero = diag == 0.0
-    dropped = bool(zero.any())
-    if dropped:
-        keep = ~zero
-        kept = np.ascontiguousarray(x[np.ix_(keep, keep)])
-        if np.count_nonzero(kept) != np.count_nonzero(x):
-            _require_symmetric(x, scale)
-            rows = x[zero]
-            if np.any(rows):
-                flat = int(np.argmax(np.abs(rows)))
-                a = float(np.abs(rows).ravel()[flat])
-                d = float(diag[flat % dim])
-                est = 0.5 * (d - np.sqrt(d * d + 4.0 * a * a))
-                return PsdReport(min_eig_estimate=est, method="zero-diagonal-row",
-                                 tol=tol, psd=False, scale=scale)
-        x = kept
-        dim = x.shape[0]
-        if dim == 0:
-            return PsdReport(min_eig_estimate=0.0, method="zero-matrix",
-                             tol=tol, psd=True, scale=scale)
-    _require_symmetric(x, scale)
-
-    if not refine:
-        (potrf,) = get_lapack_funcs(("potrf",), (x,))
-        shift = tol * scale
-        ok = _factors(potrf, x, shift)
-        return PsdReport(min_eig_estimate=-shift if ok else -np.inf,
-                         method="shifted-factorization", tol=tol, psd=ok, scale=scale)
-
-    if dim <= _DENSE_EIG_CUTOFF:
-        est = float(eigvalsh(x, check_finite=False)[0])
-        if dropped:
-            est = min(est, 0.0)
-        return PsdReport(min_eig_estimate=est, method="dense-eigendecomposition",
-                         tol=tol, psd=est >= threshold, scale=scale)
-
-    (potrf,) = get_lapack_funcs(("potrf",), (x,))
-    certified = None
-    for shift in (tol * scale, tol * scale * 1e-4, 0.0):
-        if not _factors(potrf, x, shift):
-            break
-        certified = shift
-    if certified is not None:
-        return PsdReport(min_eig_estimate=-certified, method="shifted-factorization",
+    kept = x
+    if zero.any():
+        kept = np.ascontiguousarray(x[np.ix_(~zero, ~zero)])
+        if np.count_nonzero(kept) == np.count_nonzero(x):
+            x = kept
+    asym = _require_symmetric(x, scale)
+    if x is not kept and np.any(x[zero]):
+        return PsdReport(certified_min_eig=None, method="zero-diagonal-row",
+                         tol=tol, psd=False, scale=scale)
+    dim = kept.shape[0]
+    if dim == 0:
+        return PsdReport(certified_min_eig=0.0, method="zero-matrix",
                          tol=tol, psd=True, scale=scale)
-    est = float(eigvalsh(x, subset_by_index=[0, 0], check_finite=False)[0])
-    if dropped:
-        est = min(est, 0.0)
-    return PsdReport(min_eig_estimate=est, method="dense-eigendecomposition", tol=tol,
-                     psd=est >= threshold, scale=scale)
+
+    (potrf,) = get_lapack_funcs(("potrf",), (kept,))
+    shift = tol * scale
+    shifted_diag = np.diagonal(kept) + shift
+    # Fortran order, so potrf factors this copy in place
+    shifted = np.array(kept, order="F")
+    shifted[np.diag_indices(dim)] = shifted_diag
+    _, info = potrf(shifted, lower=0, clean=0, overwrite_a=1)
+    if info != 0:
+        return PsdReport(certified_min_eig=None, method="shifted-factorization",
+                         tol=tol, psd=False, scale=scale)
+    u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
+    g = (dim + 1) * u / (1 - 2 * (dim + 1) * u)  # gamma_{d+1} / (1 - gamma_{d+1})
+    top = float(shifted_diag.max())
+    # the factor 1 + 32 u covers the rounding of this expression
+    delta = (g * fsum(shifted_diag) + 2 * dim * (dim + 1 + top) * eta + u * top
+             + x.shape[0] * asym / 2) * (1 + 32 * u)
+    return PsdReport(certified_min_eig=float(np.nextafter(-shift - delta, -np.inf)),
+                     method="shifted-factorization", tol=tol, psd=True, scale=scale)
 
 
 # ----------------------------------------------------------------------

@@ -303,7 +303,7 @@ def check_sos_feasibility(
         if union_ok and r.size:
             union_ok = _unions_agree(values, ix, _entry_unions(first, second, index[r + start], index[c]))
 
-    psd_report = psd_check(values, tol=tol)
+    psd_report = psd_check(region, tol=tol)  # rows left out of region vanish
     offset = 1
     idx = np.arange(offset, offset + ix.n)
     return FeasibilityReport(

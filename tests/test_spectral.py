@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from cliquewitness import spectral
+from cliquewitness.harness import _witness_structures
 from cliquewitness.models import GraphInstance, sample_er
 from cliquewitness.params import WitnessParams, derive_alphas
 from cliquewitness.spectral import (
@@ -170,22 +171,6 @@ def test_expected_h12_norm_table_matches_dense_svd():
 # ----------------------------------------------------------------------
 
 
-def test_psd_check_dense_path():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((40, 40))
-    gram = a @ a.T
-    rep = psd_check(gram)
-    assert rep.psd and rep.min_eig_estimate >= -1e-12
-    assert rep.method == "dense-eigendecomposition"
-    assert psd_check(gram - 2 * np.linalg.eigvalsh(gram)[-1] * np.eye(40)).psd is False
-
-
-def test_psd_check_tolerance_semantics():
-    base = np.diag([1.0, 1.0, -1e-12])
-    assert psd_check(base, tol=1e-8).psd
-    assert psd_check(np.diag([1.0, 1.0, -1e-4]), tol=1e-8).psd is False
-
-
 @pytest.fixture
 def potrf_calls(monkeypatch):
     """One entry per potrf call that psd_check makes."""
@@ -204,49 +189,78 @@ def potrf_calls(monkeypatch):
     return calls
 
 
+def _assert_one_factorization_verdicts(dim, calls):
+    # a Gram matrix and the same matrix with one diagonal entry pulled far
+    # below its smallest eigenvalue: one potrf each, and the eigvalsh verdict
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim + 10))
+    gram = a @ a.T
+    spiked = gram.copy()
+    spiked[0, 0] -= scipy.linalg.eigvalsh(gram)[0] + 1.0 + gram[0, 0]
+    for x, want in ((gram, True), (spiked, False)):
+        lowest = scipy.linalg.eigvalsh(x)[0]
+        assert (lowest >= -1e-8 * np.max(np.abs(np.diagonal(x)))) == want
+        calls.clear()
+        rep = psd_check(x)
+        assert len(calls) == 1
+        assert rep.psd == want
+        assert rep.method == "shifted-factorization"
+
+
+def test_psd_check_dense_path(potrf_calls):
+    # below the 600-row cutoff of the operator norms: one Cholesky too
+    _assert_one_factorization_verdicts(40, potrf_calls)
+
+
+def test_psd_check_tolerance_semantics():
+    base = np.diag([1.0, 1.0, -1e-12])
+    assert psd_check(base, tol=1e-8).psd
+    assert psd_check(np.diag([1.0, 1.0, -1e-4]), tol=1e-8).psd is False
+
+
 def test_psd_check_verdict_is_one_factorization(potrf_calls):
-    # below the dense cutoff too, a verdict-only check is one Cholesky of
-    # X + tol * scale * I, and it agrees with the eigenvalue verdict a
-    # decade either side of the threshold
+    # one Cholesky of X + s I, s = tol * scale, agrees with the eigenvalue
+    # verdict a decade either side of -s and within 1e-3 s of it, and a
+    # success certifies a lower bound on the smallest eigenvalue within
+    # 1e-3 s of -s
     tol = 1e-8
     q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((40, 40)))
     base = (q * np.linspace(0.0, 1.0, 40)) @ q.T
     base = 0.5 * (base + base.T)
     scale = float(np.max(np.diagonal(base)))
-    for gap in (10.0, -10.0):
+    for gap in (10.0, -10.0, -(1 - 1e-3), -(1 + 1e-3)):
         x = base + gap * tol * scale * np.eye(40)
         lowest = scipy.linalg.eigvalsh(x)[0]
-        want = lowest >= -tol * np.max(np.diagonal(x))
-        assert want == (gap > 0)
+        s = tol * np.max(np.diagonal(x))
+        want = lowest >= -s
+        assert want == (gap > -1)
         potrf_calls.clear()
-        rep = psd_check(x, tol=tol, refine=False)
+        rep = psd_check(x, tol=tol)
         assert len(potrf_calls) == 1
         assert rep.psd == want
         assert rep.method == "shifted-factorization"
-        assert psd_check(x, tol=tol).psd == want  # the dense eigenvalue route
+        if want:
+            assert -s * (1 + 1e-3) < rep.certified_min_eig <= lowest
+        else:
+            assert rep.certified_min_eig is None
+
+
+def test_psd_check_certificate_on_frontier_witness():
+    # the n=40 frontier at its pinned kappa*: seed 0 is PSD, seed 7 is not
+    table = derive_alphas(0.010436495435419099, 0.5).by_union_size()
+    for seed, want in ((0, True), (7, False)):
+        sizes, mask = _witness_structures(40, 0.5, seed)
+        values = np.where(mask, table[sizes], 0.0)
+        rep = psd_check(values)
+        assert rep.psd == want
+        if want:
+            assert rep.certified_min_eig <= scipy.linalg.eigvalsh(values)[0]
+        else:
+            assert rep.certified_min_eig is None
 
 
 def test_psd_check_large_factorization_path(potrf_calls):
-    calls = potrf_calls
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((650, 660))
-    gram = a @ a.T
-    rep = psd_check(gram)
-    assert rep.psd
-    assert rep.method == "shifted-factorization"
-    assert len(calls) == 3  # refine walks the whole shift ladder
-    calls.clear()
-    rep = psd_check(gram, refine=False)
-    assert rep.psd
-    assert len(calls) == 1  # the first success settles the verdict
-    spiked = gram.copy()
-    spiked[0, 0] -= np.linalg.eigvalsh(gram)[0] + 1.0 + gram[0, 0]
-    assert psd_check(spiked, refine=False).psd is False  # Cholesky fails
-    rep = psd_check(spiked)
-    assert rep.psd is False
-    assert rep.method == "dense-eigendecomposition"
-    lowest = scipy.linalg.eigvalsh(spiked)[0]
-    assert abs(rep.min_eig_estimate - lowest) <= 1e-10 * abs(lowest)
+    _assert_one_factorization_verdicts(650, potrf_calls)
 
 
 def test_psd_check_rejects_asymmetry():
@@ -264,6 +278,20 @@ def test_psd_check_rejects_asymmetry():
         assert psd_check(far).psd
 
 
+def test_psd_check_rejects_non_finite_entries():
+    # a NaN pair in different row blocks, NaN and inf on the diagonal, and a
+    # NaN in a dropped (zero-diagonal) row
+    dim = 2 * _SYM_BLOCK + 7
+    pair = np.eye(dim)
+    pair[3, dim - 2] = pair[dim - 2, 3] = np.nan
+    dropped = np.eye(5)
+    dropped[3, 3] = 0.0
+    dropped[3, 1] = np.nan
+    for x in (pair, np.diag([1.0, np.nan]), np.diag([1.0, np.inf]), dropped):
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_check(x)
+
+
 def test_psd_check_zero_row_compression():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((6, 6))
@@ -273,7 +301,7 @@ def test_psd_check_zero_row_compression():
     big[np.ix_(keep, keep)] = gram
     rep = psd_check(big)
     assert rep.psd
-    assert rep.min_eig_estimate <= 0.0  # zero rows contribute a zero eigenvalue
+    assert rep.certified_min_eig <= 0.0  # zero rows contribute a zero eigenvalue
     neg = big.copy()
     neg[np.ix_(keep, keep)] = gram - 2 * np.linalg.eigvalsh(gram)[-1] * np.eye(6)
     assert psd_check(neg).psd is False
@@ -288,25 +316,25 @@ def test_psd_check_dropped_rows_and_columns_stay_symmetric():
         x[r, c] = 0.5
         with pytest.raises(ValueError, match="not symmetric"):
             psd_check(x)
-        with pytest.raises(ValueError, match="not symmetric"):
-            psd_check(x, refine=False)
 
 
-def test_psd_check_zero_diagonal_with_coupling_fails_fast():
+def test_psd_check_zero_diagonal_with_coupling_fails_fast(potrf_calls):
     x = np.zeros((5, 5))
     x[0, 0] = 1.0
     x[1, 2] = x[2, 1] = 0.5  # zero diagonal rows 2,3 carry mass: indefinite
     rep = psd_check(x)
     assert rep.psd is False
     assert rep.method == "zero-diagonal-row"
-    assert rep.min_eig_estimate < 0.0
-    assert rep.min_eig_estimate >= np.linalg.eigvalsh(x)[0] - 1e-12
+    assert rep.certified_min_eig is None
+    assert not potrf_calls
 
 
 def test_psd_check_zero_matrix():
-    rep = psd_check(np.zeros((4, 4)))
-    assert rep.psd
-    assert rep.method == "zero-matrix"
+    for side in (4, 0):
+        rep = psd_check(np.zeros((side, side)))
+        assert rep.psd
+        assert rep.method == "zero-matrix"
+        assert rep.certified_min_eig == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliquewitness.models import GraphInstance, clique_indicator, sample_er, sample_planted
 from cliquewitness.params import WitnessParams, derive_alphas
+from cliquewitness.spectral import psd_check
 from cliquewitness.subsets import SubsetIndexer
 from cliquewitness.witness import (
     build_matrix,
@@ -318,6 +319,7 @@ def test_feasibility_flags_match_full_matrix_reference(edit, n, k, seed):
     got = (rep.empty_entry_is_one, rep.entries_in_range, rep.vanishes_off_cliques,
            rep.union_symmetric)
     assert got == reference_flags(vals, g)
+    assert rep.psd == psd_check(vals).psd  # the block verdict is the full-matrix one
 
 
 def test_rejects_non_m_kind_feasibility():
