@@ -4,14 +4,15 @@ The clique test certifies a lower bound on the degree-4 relaxation value by
 exhibiting a feasible witness, then compares it against a multiple of the
 clique size under test.  The submatrix test thresholds a Gaussian matrix into
 a graph, builds the scaled witness on it, and reads off trace and weighted
-statistics.  The combinatorial baseline searches small vertex subsets
-exhaustively.
+statistics.  Both build the witness in block form, on its clique rows only,
+never the dense matrix.  The combinatorial baseline searches small vertex
+subsets exhaustively.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, exp, pi, sqrt
 from typing import Optional, Tuple
 
@@ -20,7 +21,9 @@ from scipy.special import ndtr
 
 from .models import GaussianInstance, GraphInstance
 from .params import derive_alphas
-from .witness import MomentMatrix, build_matrix, check_sos_feasibility
+# build_matrix is no longer called here; it stays bound because the traced
+# benchmark (perfbench/spans.py) wraps detect.build_matrix by name
+from .witness import MomentMatrix, build_block, build_matrix, check_sos_feasibility  # noqa: F401
 
 __all__ = [
     "TestConfig",
@@ -79,7 +82,7 @@ def scale_witness(mat: MomentMatrix, scaling: float) -> MomentMatrix:
 
     The result is the convex combination s*X + (1-s)*e0 e0^T, so positive
     semidefiniteness, the [0, 1] entry range and the vanishing pattern are
-    all preserved.
+    all preserved.  A block form stays one (its first row is the empty set).
     """
     if mat.kind != "M":
         raise ValueError(f"scaling is defined for kind 'M', got {mat.kind}")
@@ -90,9 +93,7 @@ def scale_witness(mat: MomentMatrix, scaling: float) -> MomentMatrix:
         return mat
     values = scaling * mat.values
     values[0, 0] = 1.0
-    return MomentMatrix(
-        indexer=mat.indexer, kind="M", values=values, params=mat.params
-    )
+    return replace(mat, values=values)
 
 
 def clique_lower_bound(graph: GraphInstance, kappa: float) -> Tuple[float, bool]:
@@ -103,8 +104,7 @@ def clique_lower_bound(graph: GraphInstance, kappa: float) -> Tuple[float, bool]
     (0.0, False) when the witness is infeasible (no certificate).
     """
     params = derive_alphas(kappa, graph.p)
-    mat = build_matrix(graph, params, "M")
-    feasible = check_sos_feasibility(mat, graph).feasible
+    feasible = check_sos_feasibility(build_block(graph, params), graph).feasible
     return (graph.n * kappa if feasible else 0.0, feasible)
 
 
@@ -149,7 +149,7 @@ def test_submatrix(
     np.fill_diagonal(adjacency, False)
     graph = GraphInstance(instance.n, p, adjacency)
     params = derive_alphas(config.kappa, p)
-    witness = scale_witness(build_matrix(graph, params, "M"), config.scaling)
+    witness = scale_witness(build_block(graph, params), config.scaling)
     feasible = check_sos_feasibility(witness, graph).feasible
     trace = float(config.scaling * instance.n * config.kappa)
     ix = witness.indexer

@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from math import ceil, log
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from .labelings import (
 )
 from .models import GAUSSIAN_METHOD, sample_er, sample_gaussian
 from .params import derive_alphas
-from .spectral import evaluate_W_conditions, psd_check
+from .spectral import evaluate_W_conditions, psd_check, shifted_cholesky
 from .subsets import SubsetIndexer
-from .witness import _clique_subsets, _full_matrix
+from .witness import _clique_subsets, _full_matrix, fill, padded_table
 
 __all__ = [
     "EXPERIMENTS",
@@ -134,26 +134,56 @@ class ResultRecord:
 # ----------------------------------------------------------------------
 
 
-def _witness_structures(n: int, p: float, seed: int):
-    """Union-size table and clique support of M on its nonzero rows, the cliques."""
+def _witness_structures(n: int, p: float, seed: int) -> np.ndarray:
+    """Code table of M on its nonzero rows, the cliques: |A u B| (int8) where
+    the support holds, OFF_SUPPORT elsewhere.
+
+    The frontier factors each fill in place on the premise that it is exactly
+    symmetric; that is tested here, once per graph, on the codes.
+    """
     graph, ix = sample_er(n, p, seed=seed), SubsetIndexer(n)
-    return _full_matrix(graph, ix, "M", _clique_subsets(graph, ix))
+    codes = _full_matrix(graph, ix, "M", _clique_subsets(graph, ix))
+    if not np.array_equal(codes, codes.T):
+        raise ValueError("witness code table is not symmetric")
+    return codes
+
+
+def _block_verdicts(
+    blocks: Sequence[np.ndarray], table: np.ndarray, tol: float, buf: np.ndarray
+) -> Iterator[int]:
+    """psd_check(fill(codes, table), tol).psd for each symmetric code table, in order.
+
+    Each fill goes into `buf` (at least as large as every table), and
+    spectral.shifted_cholesky factors its transpose in place: that is
+    F-contiguous and, the fill being exactly symmetric, the same matrix, so
+    the verdict is psd_check's without its copies.  That needs a finite
+    table with positive entries at the diagonal codes 0-2 (psd_check then
+    drops no row); any other table takes psd_check itself.
+    """
+    if not (np.all(np.isfinite(table)) and np.all(table[:3] > 0.0)):
+        for codes in blocks:
+            yield int(psd_check(fill(codes, table), tol=tol).psd)
+        return
+    for codes in blocks:
+        block = fill(codes, table, out=buf[: codes.size].reshape(codes.shape))
+        yield int(shifted_cholesky(block.T, tol) is not None)
 
 
 def _frontier_for_n(config: ExperimentConfig, n: int) -> Tuple[float, List[int]]:
     tol = config.tol("psd", 1e-8)
-    cache = [
+    blocks = [
         _witness_structures(n, config.p, config.seed0 + t)
         for t in range(config.trials)
     ]
+    buf = np.empty(max(codes.size for codes in blocks))
     allowed_fails = config.trials - ceil(0.9 * config.trials)
 
     def verdicts(kappa: float) -> Optional[List[int]]:
         """Per-graph PSD verdicts at kappa, or None once too many fail."""
-        table = derive_alphas(kappa, config.p).by_union_size()
+        table = padded_table(derive_alphas(kappa, config.p))
         out: List[int] = []
-        for sizes, mask in cache:
-            out.append(int(psd_check(np.where(mask, table[sizes], 0.0), tol=tol).psd))
+        for verdict in _block_verdicts(blocks, table, tol, buf):
+            out.append(verdict)
             if out.count(0) > allowed_fails:
                 return None
         return out

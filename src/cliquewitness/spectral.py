@@ -279,6 +279,24 @@ def _require_symmetric(x: np.ndarray, scale: float) -> float:
     return asym
 
 
+def shifted_cholesky(a: np.ndarray, tol: float) -> Optional[Tuple[float, np.ndarray]]:
+    """Factor a + s I, s = tol * max |diagonal|, by one potrf (upper
+    triangle) in place.
+
+    `a` must be F-contiguous, or potrf factors a copy.  Returns s and the
+    shifted diagonal when the factorization succeeds, None when it fails.
+    potrf is looked up through get_lapack_funcs at each call, so a wrapper
+    of that lookup sees every factorization.
+    """
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    diag = np.diag_indices(a.shape[0])
+    shift = tol * float(np.max(np.abs(a[diag])))
+    shifted_diag = a[diag] + shift
+    a[diag] = shifted_diag
+    _, info = potrf(a, lower=0, clean=0, overwrite_a=1)
+    return (shift, shifted_diag) if info == 0 else None
+
+
 def psd_check(x: np.ndarray, tol: float = 1e-8) -> PsdReport:
     """Certify positive semidefiniteness up to tol * max |diagonal|.
 
@@ -335,16 +353,12 @@ def psd_check(x: np.ndarray, tol: float = 1e-8) -> PsdReport:
         return PsdReport(certified_min_eig=0.0, method="zero-matrix",
                          tol=tol, psd=True, scale=scale)
 
-    (potrf,) = get_lapack_funcs(("potrf",), (kept,))
-    shift = tol * scale
-    shifted_diag = np.diagonal(kept) + shift
     # Fortran order, so potrf factors this copy in place
-    shifted = np.array(kept, order="F")
-    shifted[np.diag_indices(dim)] = shifted_diag
-    _, info = potrf(shifted, lower=0, clean=0, overwrite_a=1)
-    if info != 0:
+    factored = shifted_cholesky(np.array(kept, order="F"), tol)
+    if factored is None:
         return PsdReport(certified_min_eig=None, method="shifted-factorization",
                          tol=tol, psd=False, scale=scale)
+    shift, shifted_diag = factored
     u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
     g = (dim + 1) * u / (1 - 2 * (dim + 1) * u)  # gamma_{d+1} / (1 - gamma_{d+1})
     top = float(shifted_diag.max())

@@ -11,13 +11,18 @@ Three matrices on the subset index space share one entry engine:
 
 M = D N D with D the diagonal of clique indicators, and PSD-ness cascades
 H >= 0  =>  N >= 0  =>  M >= 0.
+
+Every entry is read from an int8 code table: |A u B| where the support
+holds, OFF_SUPPORT elsewhere, filled from the alpha table padded with 0.0
+at OFF_SUPPORT.  Kind M has a block form: only the rows and columns of
+cliques can be nonzero, so its block on the clique subsets holds all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
     "derive_alphas",
     "MomentMatrix",
     "build_matrix",
+    "build_block",
     "extract_blocks",
     "FeasibilityReport",
     "check_sos_feasibility",
@@ -39,6 +45,9 @@ __all__ = [
 ]
 
 _ROW_CHUNK = 128
+# rows per np.take of a fill; bounds the intp copy of the codes it makes
+_FILL_ROWS = 256
+OFF_SUPPORT = 5  # the code of an entry off the support
 
 
 # ----------------------------------------------------------------------
@@ -51,18 +60,30 @@ class MomentMatrix:
     """Dense symmetric matrix over the subset index space.
 
     Kinds "M" and "N" live on the full space (dim x dim, index 0 = empty
-    set); kind "H" omits the empty-set row/column (size dim - 1).
+    set); kind "H" omits the empty-set row/column (size dim - 1).  A kind-M
+    block form sets `index`: the ascending subset positions of its rows and
+    columns, which start with the empty set and the singletons; the matrix
+    vanishes off them.
     """
 
     indexer: SubsetIndexer
     kind: str
     values: np.ndarray
     params: WitnessParams
+    index: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("M", "N", "H"):
             raise ValueError(f"kind must be 'M', 'N' or 'H', got {self.kind}")
         expected = self.indexer.dim - (1 if self.kind == "H" else 0)
+        if self.index is not None:
+            if self.kind != "M":
+                raise ValueError(f"the block form is kind 'M', got {self.kind}")
+            head = np.arange(self.n + 1)
+            if not (np.array_equal(self.index[: self.n + 1], head)
+                    and np.all(np.diff(self.index) > 0) and self.index[-1] < expected):
+                raise ValueError("index must ascend from the empty set and singletons")
+            expected = len(self.index)
         if self.values.shape != (expected, expected):
             raise ValueError(
                 f"kind {self.kind} needs shape {(expected, expected)}, got {self.values.shape}"
@@ -105,13 +126,13 @@ def _clique_subsets(graph: GraphInstance, ix: SubsetIndexer) -> np.ndarray:
 
 def _full_matrix(
     graph: GraphInstance, ix: SubsetIndexer, kind: str, index: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Union sizes |A u B| (int8) and the 0/1 support of kind M or N.
+) -> np.ndarray:
+    """Code table (int8) of kind M or N: |A u B| on the support, OFF_SUPPORT off it.
 
     Rows and columns span the subsets at positions `index` of the indexer.
     The support of N is the product of the cross edges between A \\ B and
-    B \\ A; M also needs A and B to be cliques (M = D N D).  The sizes depend
-    on n alone.
+    B \\ A; M also needs A and B to be cliques (M = D N D).  The union sizes
+    depend on n alone.  The table is exactly symmetric.
     """
     first, second, adj = _labels(graph, ix)
     first, second = first[index], second[index]
@@ -119,42 +140,69 @@ def _full_matrix(
     count = (first > 0).astype(np.int8) + (second > 0)
     clique = adj[first, second]
 
-    sizes = np.empty((dim, dim), dtype=np.int8)
-    support = np.empty((dim, dim), dtype=bool)
+    codes = np.empty((dim, dim), dtype=np.int8)
     for start in range(0, dim, _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
         a1, a2 = first[rows, None], second[rows, None]
         # eq_ij: label i of A equals label j of B
         eq11, eq12, eq21, eq22 = a1 == first, a1 == second, a2 == first, a2 == second
-        sizes[rows] = count[rows, None] + ((first > 0) & ~(eq11 | eq21)) + ((second > 0) & ~(eq12 | eq22))
+        sizes = count[rows, None] + ((first > 0) & ~(eq11 | eq21)) + ((second > 0) & ~(eq12 | eq22))
         # an edge term is void when either end lies in both sets
         adj1, adj2 = adj[first[rows]], adj[second[rows]]
-        block = support[rows]
-        np.logical_and(adj1[:, first] | eq12 | eq21, adj1[:, second] | eq11 | eq22, out=block)
-        block &= adj2[:, first] | eq22 | eq11
-        block &= adj2[:, second] | eq21 | eq12
+        support = np.logical_and(adj1[:, first] | eq12 | eq21, adj1[:, second] | eq11 | eq22)
+        support &= adj2[:, first] | eq22 | eq11
+        support &= adj2[:, second] | eq21 | eq12
         if kind == "M":
-            block &= clique[rows, None] & clique
-    return sizes, support
+            support &= clique[rows, None] & clique
+        codes[rows] = np.where(support, sizes, OFF_SUPPORT)
+    return codes
+
+
+def padded_table(params: WitnessParams) -> np.ndarray:
+    """alpha_0..alpha_4 by union size, then 0.0 at OFF_SUPPORT: the fill table."""
+    return np.append(params.by_union_size(), 0.0)
+
+
+def fill(codes: np.ndarray, table: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """table[codes] (into `out`, a C-contiguous float array, when given)."""
+    if out is None:
+        out = np.empty(codes.shape)
+    for start in range(0, codes.shape[0], _FILL_ROWS):
+        rows = slice(start, start + _FILL_ROWS)
+        # mode "clip" writes straight into out; "raise" would buffer it
+        np.take(table, codes[rows], out=out[rows], mode="clip")
+    return out
+
+
+def _check_probability(graph: GraphInstance, params: WitnessParams) -> None:
+    if params.p != graph.p:
+        raise ValueError(
+            f"edge probability mismatch: params.p={params.p}, graph.p={graph.p}"
+        )
 
 
 def build_matrix(graph: GraphInstance, params: WitnessParams, kind: str) -> MomentMatrix:
     """Construct the witness matrix of the requested kind for a graph."""
     if kind not in ("M", "N", "H"):
         raise ValueError(f"kind must be 'M', 'N' or 'H', got {kind}")
-    if params.p != graph.p:
-        raise ValueError(
-            f"edge probability mismatch: params.p={params.p}, graph.p={graph.p}"
-        )
+    _check_probability(graph, params)
     ix = SubsetIndexer(graph.n)
-    sizes, support = _full_matrix(graph, ix, "M" if kind == "M" else "N", np.arange(ix.dim))
-    values = params.by_union_size()[sizes]
-    values[~support] = 0.0  # in place: np.where would hold a second dense copy
+    codes = _full_matrix(graph, ix, "M" if kind == "M" else "N", np.arange(ix.dim))
+    values = fill(codes, padded_table(params))
     if kind in ("M", "N"):
         return MomentMatrix(indexer=ix, kind=kind, values=values, params=params)
     by_size = np.concatenate([np.full(ix.n, params.alpha1), np.full(ix.num_pairs, params.alpha2)])
     values = values[1:, 1:] - np.outer(by_size, by_size)
     return MomentMatrix(indexer=ix, kind="H", values=values, params=params)
+
+
+def build_block(graph: GraphInstance, params: WitnessParams) -> MomentMatrix:
+    """The kind-M witness in block form: its rows and columns of cliques."""
+    _check_probability(graph, params)
+    ix = SubsetIndexer(graph.n)
+    index = _clique_subsets(graph, ix)
+    values = fill(_full_matrix(graph, ix, "M", index), padded_table(params))
+    return MomentMatrix(indexer=ix, kind="M", values=values, params=params, index=index)
 
 
 def extract_blocks(mat: MomentMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,29 +281,52 @@ def _entry_unions(first: np.ndarray, second: np.ndarray, rows: np.ndarray, cols:
     return {k: labels[size == k, 4 - k :] for k in range(1, 5)}
 
 
-def _unions_agree(values: np.ndarray, ix: SubsetIndexer, unions: dict) -> bool:
+def _slots(ix: SubsetIndexer, index: np.ndarray) -> np.ndarray:
+    """slots[a, b]: the row of the subset {a, b} (0-padded labels) among the
+    subsets at `index`, or -1 when it is not one of them."""
+    n = ix.n
+    position = np.zeros((n + 1, n + 1), dtype=np.int64)
+    position[0, 1:] = position[1:, 0] = np.arange(1, n + 1)
+    pairs = np.arange(n + 1, ix.dim)
+    position[ix.pair_heads, ix.pair_tails] = position[ix.pair_tails, ix.pair_heads] = pairs
+    row = np.full(ix.dim, -1, dtype=np.int64)
+    row[index] = np.arange(len(index))
+    return row[position]
+
+
+def _unions_agree(region: np.ndarray, slots: np.ndarray, unions: dict) -> bool:
     """True when each listed union U takes one value at every (A, B) with A u B = U.
 
     `unions[size]` holds one union per row as `size` vertex labels; each is
     checked by gathering the fixed positions that produce it, one orientation
-    per position (the caller tests symmetry).
+    per position (the caller tests symmetry).  `slots` maps a subset to its
+    row of `region`; a subset outside it reads as 0.
     """
-    n = ix.n
-    index = np.zeros((n + 1, n + 1), dtype=np.int64)
-    index[0, 1:] = index[1:, 0] = np.arange(1, n + 1)
-    pairs = np.arange(n + 1, ix.dim)
-    index[ix.pair_heads, ix.pair_tails] = index[ix.pair_tails, ix.pair_heads] = pairs
     for size, listed in unions.items():
         # column 0 holds label 0, so pattern labels index the columns
         labels = np.zeros((len(listed), size + 1), dtype=np.int64)
         labels[:, 1:] = listed
-        got = np.stack([
-            values[index[labels[:, a1], labels[:, a2]], index[labels[:, b1], labels[:, b2]]]
-            for (a1, a2), (b1, b2) in _union_patterns(size)
-        ], axis=1)
+        got = []
+        for (a1, a2), (b1, b2) in _union_patterns(size):
+            rows, cols = slots[labels[:, a1], labels[:, a2]], slots[labels[:, b1], labels[:, b2]]
+            values = region[rows, cols]
+            values[(rows < 0) | (cols < 0)] = 0.0
+            got.append(values)
+        got = np.stack(got, axis=1)
         if not np.array_equal(got, np.broadcast_to(got[:, :1], got.shape)):
             return False
     return True
+
+
+def _clique_region(values: np.ndarray, graph: GraphInstance, ix: SubsetIndexer):
+    """(index, region) of a dense kind-M matrix: its clique subsets and block,
+    or every subset and the whole matrix when a non-clique row or column
+    carries mass."""
+    index = _clique_subsets(graph, ix)
+    region = values[np.ix_(index, index)]
+    if np.count_nonzero(region) != np.count_nonzero(values):
+        return np.arange(ix.dim), values
+    return index, region
 
 
 def check_sos_feasibility(
@@ -269,50 +340,49 @@ def check_sos_feasibility(
     PSD up to tol (relative to the largest diagonal entry).  The first four
     are exact comparisons, not tolerance-based.
 
-    The first four run on the block of clique rows and columns once the
-    other rows and columns are seen to vanish, and on the whole matrix
-    otherwise.  A union that is not a clique has a position with a
-    non-clique side, so its positions agree exactly when none holds a
-    nonzero entry off the support: the union audit lists the clique unions
-    of the graph and the unions of those entries.
+    All five run on one block: the block form's own, or for a dense matrix
+    its block of clique rows and columns once the other rows and columns are
+    seen to vanish, and the whole matrix otherwise.  Entries off the block
+    are 0.  A union that is not a clique has a position with a non-clique
+    side, so its positions agree exactly when none holds a nonzero entry off
+    the support: the union audit lists the clique unions of the graph and
+    the unions of those entries.
     """
     if mat.kind != "M":
         raise ValueError(f"feasibility checks apply to kind 'M', got {mat.kind}")
     if mat.n != graph.n:
         raise ValueError(f"dimension mismatch: matrix n={mat.n}, graph n={graph.n}")
     ix = mat.indexer
-    values = mat.values
-    first, second, adj = _labels(graph, ix)
-    index = np.flatnonzero(adj[first, second])
-    region = values[np.ix_(index, index)]
-    if np.count_nonzero(region) != np.count_nonzero(values):
-        # a non-clique row or column carries mass: test the whole matrix
-        index, region = np.arange(ix.dim), values
-    _, support = _full_matrix(graph, ix, "M", index)
+    if mat.index is None:
+        index, region = _clique_region(mat.values, graph, ix)
+    else:
+        index, region = mat.index, mat.values
+    off_support = _full_matrix(graph, ix, "M", index) == OFF_SUPPORT
+    slots = _slots(ix, index)
     in_range = bool(np.all(region >= 0.0) and np.all(region <= 1.0))
     union_ok = np.array_equal(region, region.T) and _unions_agree(
-        values, ix, _clique_unions(graph.adjacency)
+        region, slots, _clique_unions(graph.adjacency)
     )
     # off-support nonzeros, a block of rows at a time: each fails the support
     # test, and the union audit lists their unions
+    first, second, _ = _labels(graph, ix)
     stray = 0
     for start in range(0, len(index), _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
-        r, c = np.nonzero((region[rows] != 0.0) & ~support[rows])
+        r, c = np.nonzero((region[rows] != 0.0) & off_support[rows])
         stray += r.size
         if union_ok and r.size:
-            union_ok = _unions_agree(values, ix, _entry_unions(first, second, index[r + start], index[c]))
+            unions = _entry_unions(first, second, index[r + start], index[c])
+            union_ok = _unions_agree(region, slots, unions)
 
     psd_report = psd_check(region, tol=tol)  # rows left out of region vanish
-    offset = 1
-    idx = np.arange(offset, offset + ix.n)
     return FeasibilityReport(
-        empty_entry_is_one=bool(values[0, 0] == 1.0),
+        empty_entry_is_one=bool(region[0, 0] == 1.0),
         entries_in_range=in_range,
         vanishes_off_cliques=stray == 0,
         union_symmetric=union_ok,
         psd=psd_report.psd,
-        objective=float(values[idx, idx].sum()),
+        objective=mat.objective(),
         psd_report=psd_report,
         tolerance=tol,
     )
@@ -329,6 +399,8 @@ def dump_matrix(mat: MomentMatrix, path: str, binary: bool = False) -> None:
     Text mode writes one repr'd float per line; binary mode writes raw
     little-endian 64-bit floats after the header line.
     """
+    if mat.index is not None:
+        raise ValueError("dumps hold dense matrices; the block form has none")
     side = mat.values.shape[0]
     iu = np.triu_indices(side)
     tri = mat.values[iu]

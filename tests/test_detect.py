@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from cliquewitness import detect
 from cliquewitness.detect import clique_lower_bound, DetectionOutcome, scale_witness
 from cliquewitness.detect import TestConfig as DetectConfig
 from cliquewitness.detect import test_clique as clique_test
 from cliquewitness.detect import test_comb as comb_test
 from cliquewitness.detect import test_submatrix as submatrix_test
-from cliquewitness.models import GaussianInstance, sample_er, sample_gaussian
+from cliquewitness.models import GaussianInstance, sample_er, sample_gaussian, sample_planted
 from cliquewitness.params import derive_alphas
-from cliquewitness.witness import build_matrix, check_sos_feasibility
+from cliquewitness.witness import build_block, build_matrix, check_sos_feasibility
 
 
 def window_kappa(n, c0=0.25):
@@ -96,6 +97,72 @@ def test_clique_verdicts():
     assert clique_test(g, cfg, n + 1).verdict == 0
     with pytest.raises(ValueError):
         clique_test(g, DetectConfig(), 3.0)
+
+
+def dense_route(monkeypatch):
+    # detection with the dense witness in place of the block form
+    monkeypatch.setattr(detect, "build_block", lambda g, params: build_matrix(g, params, "M"))
+
+
+def criterion9_kappa(n):
+    return n ** (-2 / 3) / (16.0 * math.log(n))
+
+
+@pytest.mark.parametrize("scaling", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+@pytest.mark.parametrize("n", [12, 30, 60])
+def test_submatrix_block_route_matches_dense(n, hypothesis, scaling, monkeypatch):
+    # every outcome field, at a kappa where the witness is feasible (but on
+    # the n=12 planted block) and one where it is not
+    planted = hypothesis == "H1"
+    inst = sample_gaussian(n, 2.0 if planted else 0.0, 4 if planted else None, hypothesis, 3)
+    for kappa in (criterion9_kappa(n), 0.05):
+        cfg = DetectConfig(kappa=kappa, scaling=scaling)
+        block = submatrix_test(inst, cfg, 6.0, 1e-4)
+        with monkeypatch.context() as m:
+            dense_route(m)
+            dense = submatrix_test(inst, cfg, 6.0, 1e-4)
+        assert block == dense
+        if scaling == 1.0 and kappa == 0.05:
+            assert not block.feasibility
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_clique_block_route_matches_dense(n, monkeypatch):
+    for seed in range(3):
+        g = sample_er(n, 0.5, seed=seed)
+        for kappa in (window_kappa(n), 0.05):
+            cfg = DetectConfig(kappa=kappa)
+            block = (clique_lower_bound(g, kappa), clique_test(g, cfg, 0.1))
+            with monkeypatch.context() as m:
+                dense_route(m)
+                dense = (clique_lower_bound(g, kappa), clique_test(g, cfg, 0.1))
+            assert block == dense
+            assert block[0][1] == (kappa != 0.05)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_block_and_dense_feasibility_reports_equal(planted):
+    # flags, objective and psd_report, scaled and not, feasible and not
+    for seed in range(3):
+        g = sample_planted(20, 0.5, 6, seed=seed) if planted else sample_er(20, 0.5, seed=seed)
+        for kappa in (window_kappa(20), 0.03):
+            params = derive_alphas(kappa, 0.5)
+            for scaling in (1.0, 0.5):
+                block = scale_witness(build_block(g, params), scaling)
+                dense = scale_witness(build_matrix(g, params, "M"), scaling)
+                assert check_sos_feasibility(block, g) == check_sos_feasibility(dense, g)
+
+
+def test_detection_never_builds_dense_witness(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense witness built")
+
+    monkeypatch.setattr(detect, "build_matrix", refuse)
+    inst = sample_gaussian(30, 0.0, None, "H0", seed=1)
+    assert submatrix_test(inst, DetectConfig(kappa=1e-3, scaling=0.5), 6.0, 1e-4).feasibility
+    g = sample_er(30, 0.5, seed=1)
+    assert clique_test(g, DetectConfig(kappa=window_kappa(30)), 0.1).feasibility
 
 
 def test_gaussian_thresholding_density():

@@ -1,12 +1,17 @@
 import csv
+import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import cliquewitness
+from cliquewitness import harness
 from cliquewitness.harness import (
+    _block_verdicts,
+    _witness_structures,
     check_records,
     emit,
     EXPERIMENTS,
@@ -15,6 +20,10 @@ from cliquewitness.harness import (
     ResultRecord,
     run,
 )
+from cliquewitness.models import sample_er
+from cliquewitness.params import derive_alphas
+from cliquewitness.spectral import psd_check
+from cliquewitness.witness import build_matrix, fill, padded_table
 
 
 def test_experiment_names():
@@ -82,6 +91,88 @@ def test_psd_frontier_pin():
         "kappa_star": 0.010436495435419099,
         "success_fraction": 0.9,
     }
+
+
+# kappa* of the n=40 and n=50 frontiers at seed0 0
+FRONTIER_STARS = {40: 0.010436495435419099, 50: 0.008126660357097705}
+
+
+@pytest.mark.parametrize("n", sorted(FRONTIER_STARS))
+def test_block_verdicts_match_psd_check(n):
+    # the in-place fill-and-factor verdicts against psd_check on the dense
+    # witness, which drops the non-clique rows itself, from 0.5x to 2x kappa*.
+    # At tol 1e-4 the shift decides verdicts at kappa* and 1.1 kappa*.
+    blocks = [_witness_structures(n, 0.5, seed) for seed in range(10)]
+    buf = np.empty(max(codes.size for codes in blocks))
+    seen = set()
+    for factor in (0.5, 0.9, 1.0, 1.1, 2.0):
+        params = derive_alphas(factor * FRONTIER_STARS[n], 0.5)
+        dense = [build_matrix(sample_er(n, 0.5, seed=seed), params, "M").values
+                 for seed in range(10)]
+        for tol in (1e-8, 1e-4):
+            got = list(_block_verdicts(blocks, padded_table(params), tol, buf))
+            assert got == [int(psd_check(x, tol=tol).psd) for x in dense], (factor, tol)
+            seen.update(got)
+    assert seen == {0, 1}
+
+
+def test_block_verdicts_preconditions(monkeypatch):
+    blocks = [_witness_structures(12, 0.5, seed) for seed in range(3)]
+    buf = np.empty(max(codes.size for codes in blocks))
+    table = padded_table(derive_alphas(0.01, 0.5))
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("the in-place factorization ran")
+
+    # a zero diagonal entry (alpha_2 = 0) takes psd_check, which drops the
+    # pair rows; a non-finite table takes it too, and it raises
+    monkeypatch.setattr(harness, "shifted_cholesky", no_factor)
+    zero_diag = table.copy()
+    zero_diag[2] = 0.0
+    got = list(_block_verdicts(blocks, zero_diag, 1e-8, buf))
+    assert got == [int(psd_check(fill(codes, zero_diag)).psd) for codes in blocks]
+    for bad in (np.nan, np.inf):
+        broken = table.copy()
+        broken[4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            list(_block_verdicts(blocks, broken, 1e-8, buf))
+    # an asymmetric code table is refused once per graph, before any verdict
+    codes = blocks[0].copy()
+    codes[0, -1] = 4 if codes[-1, 0] != 4 else 3
+    monkeypatch.setattr(harness, "_full_matrix", lambda *args: codes)
+    with pytest.raises(ValueError, match="not symmetric"):
+        _witness_structures(12, 0.5, 0)
+
+
+# sha256 of the detection CSVs these configs printed before the block form
+# of the witness; the block route must reproduce them byte for byte
+DETECTION_PINS = {
+    "submatrix_feasible": (
+        {"n_grid": [30], "trials": 3, "kappa_rule": "fixed", "kappa": 0.002,
+         "extras": {"test": "submatrix", "k": 6.0}},
+        "bd1d9048983bd5fbd08db1a12df9a45ec2bcd58be90184cab264e48fe2004359",
+    ),
+    "submatrix_infeasible": (
+        {"n_grid": [30], "trials": 3, "kappa_rule": "fixed", "kappa": 0.05,
+         "extras": {"test": "submatrix", "k": 6.0}},
+        "56e2b33433a42893ded3d633fcbd703bcb04190cdeecd9f502762183d398d079",
+    ),
+    "clique": (
+        {"n_grid": [20], "trials": 4, "kappa_rule": "fixed", "kappa": 0.02,
+         "extras": {"test": "clique", "k": 0.4}},
+        "237b0ed50f63083d952bc9598b2f3e9a1df616cb60ff1104b6d4625ebefc792b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETECTION_PINS))
+def test_detection_cli_bytes_pinned(name, tmp_path, capsys):
+    fields, digest = DETECTION_PINS[name]
+    path = tmp_path / "detect.json"
+    path.write_text(json.dumps({"experiment": "detection", **fields}))
+    assert main(["--config", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
 def test_run_and_emit_are_deterministic():

@@ -22,7 +22,7 @@ from cliquewitness.spectral import (
     sym_operator_norm,
 )
 from cliquewitness.subsets import SubsetIndexer
-from cliquewitness.witness import build_matrix, extract_blocks
+from cliquewitness.witness import build_matrix, extract_blocks, fill, padded_table
 
 PARAMS = derive_alphas(0.05, 0.5)
 
@@ -247,10 +247,9 @@ def test_psd_check_verdict_is_one_factorization(potrf_calls):
 
 def test_psd_check_certificate_on_frontier_witness():
     # the n=40 frontier at its pinned kappa*: seed 0 is PSD, seed 7 is not
-    table = derive_alphas(0.010436495435419099, 0.5).by_union_size()
+    table = padded_table(derive_alphas(0.010436495435419099, 0.5))
     for seed, want in ((0, True), (7, False)):
-        sizes, mask = _witness_structures(40, 0.5, seed)
-        values = np.where(mask, table[sizes], 0.0)
+        values = fill(_witness_structures(40, 0.5, seed), table)
         rep = psd_check(values)
         assert rep.psd == want
         if want:

@@ -10,6 +10,9 @@ from cliquewitness.params import WitnessParams, derive_alphas
 from cliquewitness.spectral import psd_check
 from cliquewitness.subsets import SubsetIndexer
 from cliquewitness.witness import (
+    _slots,
+    _unions_agree,
+    build_block,
     build_matrix,
     check_sos_feasibility,
     dump_matrix,
@@ -84,6 +87,36 @@ def test_m_equals_dnd():
     ix = SubsetIndexer(7)
     d = np.array([clique_indicator(g, s) for s in ix.all_subsets()], dtype=float)
     assert np.max(np.abs(m - d[:, None] * nmat * d[None, :])) == 0.0
+
+
+def test_block_form_is_the_clique_block_of_m():
+    # the block holds every nonzero of M, on the rows and columns of cliques
+    for seed in range(3):
+        for g in oracle_graphs(seed):
+            params = derive_alphas(0.05, g.p)
+            block = build_block(g, params)
+            full = brute_force_matrix(g, params, "M")
+            rows = [r for r, a in enumerate(SubsetIndexer(g.n).all_subsets())
+                    if clique_indicator(g, a)]
+            assert np.array_equal(block.index, rows)
+            assert np.array_equal(block.values, full[np.ix_(rows, rows)])
+            assert np.count_nonzero(block.values) == np.count_nonzero(full)
+            assert block.objective() == build_matrix(g, params, "M").objective()
+
+
+def test_block_form_validation(tmp_path):
+    g = sample_er(6, 0.5, seed=2)
+    block = build_block(g, PARAMS)
+    ix, index, values = block.indexer, block.index, block.values
+    for bad in (index[1:], index[::-1], np.append(index[:-1], ix.dim)):
+        with pytest.raises(ValueError):
+            MomentMatrix(ix, "M", values[: len(bad), : len(bad)], PARAMS, index=bad)
+    with pytest.raises(ValueError):
+        MomentMatrix(ix, "N", values, PARAMS, index=index)
+    with pytest.raises(ValueError):
+        MomentMatrix(ix, "M", values[1:, 1:], PARAMS, index=index)
+    with pytest.raises(ValueError):
+        dump_matrix(block, str(tmp_path / "block.txt"))
 
 
 def test_complete_graph_values():
@@ -320,6 +353,16 @@ def test_feasibility_flags_match_full_matrix_reference(edit, n, k, seed):
            rep.union_symmetric)
     assert got == reference_flags(vals, g)
     assert rep.psd == psd_check(vals).psd  # the block verdict is the full-matrix one
+
+
+def test_union_audit_reads_zero_off_the_block():
+    # the union {1, 2} on a constant region: with only the empty set and the
+    # singletons as rows, ({1}, {2}) reads 0.25 and ({1, 2}, {}) reads 0
+    ix = SubsetIndexer(4)
+    unions = {2: np.array([[1, 2]])}
+    assert not _unions_agree(np.full((5, 5), 0.25), _slots(ix, np.arange(5)), unions)
+    whole = np.arange(ix.dim)
+    assert _unions_agree(np.full((ix.dim, ix.dim), 0.25), _slots(ix, whole), unions)
 
 
 def test_rejects_non_m_kind_feasibility():
