@@ -185,8 +185,8 @@ def build_component(graph: GraphInstance, params: WitnessParams, kind: Component
 # ----------------------------------------------------------------------
 
 
-# pair columns per block of the J(4,1) matvec; the chunk's n x _PAIR_CHUNK
-# factor is the only temporary that grows with n
+# pair columns per block of the J(4,1) matvec; the chunk boundaries fix the
+# order in which the matvec sums its BLAS-3 products
 _PAIR_CHUNK = 2048
 
 
@@ -204,7 +204,8 @@ def component_operator(
 
     J(4,1) v is alpha4 (a diag(v) a^T) read at the pairs, for the
     pair-product factor a[i, (k, l)] = g_ik g_il: one BLAS-3 product per
-    _PAIR_CHUNK pair columns, each chunk's factor rebuilt from g.  Other
+    _PAIR_CHUNK pair columns.  The operator builds the factor chunks once
+    and holds them, n C(n, 2) floats; the matvec only reads them.  Other
     single components have no operator; the class-1 relaxed sum has its own
     below.
     """
@@ -225,13 +226,15 @@ def component_operator(
 
     elif kind.eta == 4:
         a4 = params.alpha4
+        chunks = []
+        for lo in range(0, npairs, _PAIR_CHUNK):
+            cols = slice(lo, lo + _PAIR_CHUNK)
+            chunks.append((cols, _pair_products(g, hi[cols], ti[cols])))
 
         def matvec(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v).ravel()
             s = np.zeros((n, n))
-            for lo in range(0, npairs, _PAIR_CHUNK):
-                cols = slice(lo, lo + _PAIR_CHUNK)
-                a = _pair_products(g, hi[cols], ti[cols])
+            for cols, a in chunks:
                 s += (a * v[cols]) @ a.T
             return a4 * s[hi, ti]
 

@@ -460,9 +460,22 @@ def _trace_by_labelings(
 def _trace_by_graphs(
     kind: ComponentKind, m: int, n: int, p: float, params: WitnessParams
 ) -> float:
+    total = 0.0
+    for weight, gram in _graph_grams(kind, n, p, params):
+        total += weight * float(np.trace(np.linalg.matrix_power(gram, m)))
+    return total
+
+
+# every trace order averages over the same 2^C(n, 2) graphs; one cached
+# enumeration lets consecutive orders of a component share its builds
+@functools.lru_cache(maxsize=1)
+def _graph_grams(
+    kind: ComponentKind, n: int, p: float, params: WitnessParams
+) -> Tuple[Tuple[float, np.ndarray], ...]:
+    """(probability, X^T X) of the component X on every graph on n vertices."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     num_slots = len(pairs)
-    total = 0.0
+    out = []
     for bits in range(1 << num_slots):
         adj = np.zeros((n, n), dtype=bool)
         e = 0
@@ -474,8 +487,9 @@ def _trace_by_graphs(
         graph = GraphInstance(n, p, adj)
         x = build_component(graph, params, kind).values
         gram = x.T @ x
-        total += weight * float(np.trace(np.linalg.matrix_power(gram, m)))
-    return total
+        gram.flags.writeable = False  # the cache hands it to every caller
+        out.append((weight, gram))
+    return tuple(out)
 
 
 def exact_expected_trace(

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from cliquewitness import decomposition
 from cliquewitness.decomposition import (
@@ -22,7 +23,7 @@ from cliquewitness.decomposition import (
 )
 from cliquewitness.models import sample_er, sample_planted
 from cliquewitness.params import derive_alphas
-from cliquewitness.spectral import ProjectorFamily
+from cliquewitness.spectral import ProjectorFamily, sym_operator_norm
 from cliquewitness.subsets import SubsetIndexer
 
 PARAMS = derive_alphas(0.05, 0.5)
@@ -196,6 +197,51 @@ def test_operator_matches_entry_formula_across_pair_chunks():
         want = operator_rows(g, PARAMS, kind, rows) @ v
         got = (component_operator(g, PARAMS, kind) @ v)[rows]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def reference_j41_matvec(graph, params):
+    # the rebuild-per-call J(4,1) matvec: every call rebuilds each chunk's
+    # pair-product factor from g, with the operator's chunk boundaries
+    ix = SubsetIndexer(graph.n)
+    g = graph.centered
+    hi, ti = ix.pair_heads - 1, ix.pair_tails - 1
+
+    def matvec(v):
+        v = np.asarray(v).ravel()
+        s = np.zeros((graph.n, graph.n))
+        for lo in range(0, ix.num_pairs, _PAIR_CHUNK):
+            cols = slice(lo, lo + _PAIR_CHUNK)
+            a = g[:, hi[cols]] * g[:, ti[cols]]
+            s += (a * v[cols]) @ a.T
+        return params.alpha4 * s[hi, ti]
+
+    return matvec
+
+
+@pytest.mark.parametrize("n", [5, 75])  # one partial chunk; a full and a partial one
+def test_j41_matvec_is_bit_identical_to_rebuild_reference(n):
+    g = sample_er(n, 0.5, seed=n)
+    ref = reference_j41_matvec(g, PARAMS)
+    rng = np.random.default_rng(n)
+    npairs = SubsetIndexer(n).num_pairs
+    v, w = rng.standard_normal(npairs), rng.standard_normal(npairs)
+    for kind in (ComponentKind("J", 4, 1), ComponentKind("Jtilde", 4, 1)):
+        op = component_operator(g, PARAMS, kind)
+        first = op @ v
+        assert np.array_equal(first, ref(v))
+        assert np.array_equal(op @ w, ref(w))
+        # the held factor is read, never written: the first result repeats
+        assert np.array_equal(op @ v, first)
+
+
+@pytest.mark.parametrize("n", [30, 75])
+def test_j41_norm_equals_reference_operator_norm(n):
+    g = sample_er(n, 0.5, seed=n + 1)
+    npairs = SubsetIndexer(n).num_pairs
+    ref = reference_j41_matvec(g, PARAMS)
+    want = sym_operator_norm(
+        LinearOperator((npairs, npairs), matvec=ref, rmatvec=ref, dtype=np.float64))
+    assert component_norm(g, PARAMS, ComponentKind("J", 4, 1)) == want
 
 
 def test_jtilde41_equals_j41():

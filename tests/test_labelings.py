@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cliquewitness import labelings
 from cliquewitness.decomposition import ComponentKind
 from cliquewitness.labelings import (
     build_cyclic_ribbon,
@@ -156,6 +157,22 @@ def test_expected_traces_agree():
         for m in (1, 2):
             res = exact_expected_trace(kind, m, 4, 0.5, params)
             assert res.rel_difference <= 1e-12, kind.label()
+
+
+def test_graph_average_builds_each_graph_once(monkeypatch):
+    params = derive_alphas(0.3, 0.5)
+    kind = ComponentKind("J", 2, 1)
+    labelings._graph_grams.cache_clear()
+    fresh = exact_expected_trace(kind, 2, 4, 0.5, params).graph_average
+    builds = []
+    real = labelings.build_component
+    monkeypatch.setattr(labelings, "build_component",
+                        lambda *args: builds.append(args) or real(*args))
+    labelings._graph_grams.cache_clear()
+    exact_expected_trace(kind, 1, 4, 0.5, params)
+    cached = exact_expected_trace(kind, 2, 4, 0.5, params).graph_average
+    assert len(builds) == 2 ** 6  # every graph on 4 vertices, once for both orders
+    assert cached == fresh
 
 
 def test_expected_trace_validation():

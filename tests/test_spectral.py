@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from cliquewitness import spectral
 from cliquewitness.harness import _witness_structures
@@ -347,6 +348,50 @@ def test_sym_operator_norm_matches_dense():
     sym = (a + a.T) / 2
     dense = np.max(np.abs(np.linalg.eigvalsh(sym)))
     assert abs(sym_operator_norm(sym, 25) - dense) <= 1e-6 * dense
+
+
+def arpack_stub(monkeypatch, failures):
+    # spectral.eigsh raising ArpackNoConvergence on its first `failures`
+    # calls; records each call's start vector and each returned value
+    calls = {"v0": [], "vals": []}
+    real = spectral.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls["v0"].append(kwargs["v0"].copy())
+        if len(calls["v0"]) <= failures:
+            raise spectral.ArpackNoConvergence("stub: no convergence",
+                                               np.empty(0), np.empty((0, 0)))
+        vals = real(*args, **kwargs)
+        calls["vals"].append(vals)
+        return vals
+
+    monkeypatch.setattr(spectral, "eigsh", eigsh)
+    return calls
+
+
+def symmetric_operator(dim, seed):
+    a = np.random.default_rng(seed).standard_normal((dim, dim))
+    sym = (a + a.T) / 2
+    return sym, LinearOperator(sym.shape, matvec=lambda v: sym @ v, dtype=np.float64)
+
+
+def test_sym_operator_norm_retries_with_a_fresh_start(monkeypatch):
+    sym, op = symmetric_operator(30, 8)
+    calls = arpack_stub(monkeypatch, failures=1)
+    got = sym_operator_norm(op)
+    assert len(calls["v0"]) == 2
+    assert not np.array_equal(calls["v0"][0], calls["v0"][1])
+    assert got == float(abs(calls["vals"][0][0]))
+    dense = np.max(np.abs(np.linalg.eigvalsh(sym)))
+    assert abs(got - dense) <= 1e-6 * dense
+
+
+def test_sym_operator_norm_gives_up_after_three_starts(monkeypatch):
+    _, op = symmetric_operator(30, 8)
+    calls = arpack_stub(monkeypatch, failures=3)
+    with pytest.raises(RuntimeError, match="did not converge after 3 starts"):
+        sym_operator_norm(op)
+    assert len(calls["v0"]) == 3
 
 
 def test_rect_operator_norm_matches_dense():
