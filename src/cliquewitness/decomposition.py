@@ -39,6 +39,7 @@ __all__ = [
     "ComponentMatrix",
     "EDGE_CHOICES",
     "build_component",
+    "component_values",
     "component_operator",
     "class1_sum_operator",
     "component_norm",
@@ -135,7 +136,17 @@ def _prefactor(kind: ComponentKind, params: WitnessParams) -> float:
 
 
 def build_component(graph: GraphInstance, params: WitnessParams, kind: ComponentKind) -> ComponentMatrix:
-    """Dense component matrix (pairs x pairs, or singletons x pairs for L).
+    """Dense component matrix (pairs x pairs, or singletons x pairs for L)."""
+    pref = _prefactor(kind, params)
+    values = component_values(graph.centered, kind, pref)
+    return ComponentMatrix(kind=kind, values=values, prefactor=pref)
+
+
+def component_values(g: np.ndarray, kind: ComponentKind, pref: float) -> np.ndarray:
+    """Values of one component, scaled by pref, from centered variables g.
+
+    g is (n, n, *batch): trailing axes stack graphs, and the result is
+    (rows, columns, *batch), each graph's slice equal to its own build.
 
     One cross-edge rule builds every kind.  A pair (i, j) has head end i
     and tail end j; the L row of a singleton a has both ends a.  The code
@@ -145,26 +156,25 @@ def build_component(graph: GraphInstance, params: WitnessParams, kind: Component
     codes whose row and column ends are equal, the gather of the flipped
     code.  Rows are built _COMPONENT_ROW_CHUNK at a time.
     """
-    ix = SubsetIndexer(graph.n)
-    g = graph.centered
+    n, batch = g.shape[0], g.shape[2:]
+    ix = SubsetIndexer(n)
     cols = {"h": ix.pair_heads - 1, "t": ix.pair_tails - 1}
     if kind.family == "L":
-        ends = dict.fromkeys("ht", np.arange(graph.n))
+        ends = dict.fromkeys("ht", np.arange(n))
         codes = _L_EDGES[(kind.eta, kind.nu)]
     else:
         ends = cols
         codes = EDGE_CHOICES.get((kind.eta, kind.nu))  # None for K
     masked = kind.family == "J" or (kind.family == "L" and kind.eta == 1)
-    pref = _prefactor(kind, params)
 
-    vals = np.empty((ends["h"].size, cols["h"].size))
+    vals = np.empty((ends["h"].size, cols["h"].size) + batch)
     for start in range(0, vals.shape[0], _COMPONENT_ROW_CHUNK):
         block = slice(start, start + _COMPONENT_ROW_CHUNK)
         rows = {end: v[block] for end, v in ends.items()}
         if codes is None:
             # one code meets at a one-overlap entry, and the two that meet on
             # the diagonal flip to g_ii = 0: each entry sums at most one g
-            out = np.zeros((rows["h"].size, vals.shape[1]))
+            out = np.zeros((rows["h"].size, vals.shape[1]) + batch)
             for (x, y), (u, v) in _FLIP.items():
                 r, c = np.divmod(np.flatnonzero(rows[x][:, None] == cols[y]), vals.shape[1])
                 out[r, c] += g[rows[u][r], cols[v][c]]
@@ -177,7 +187,7 @@ def build_component(graph: GraphInstance, params: WitnessParams, kind: Component
                 for x, y in _FLIP:
                     out[rows[x][:, None] == cols[y]] = 0.0
         np.multiply(pref, out, out=vals[block])
-    return ComponentMatrix(kind=kind, values=vals, prefactor=pref)
+    return vals
 
 
 # ----------------------------------------------------------------------

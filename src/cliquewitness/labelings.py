@@ -24,8 +24,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decomposition import EDGE_CHOICES, ComponentKind, _prefactor, build_component
-from .models import GraphInstance
+from .decomposition import EDGE_CHOICES, ComponentKind, _prefactor, component_values
+# build_component is no longer called here; it stays bound because the traced
+# benchmark (perfbench/spans.py) wraps labelings.build_component by name
+from .decomposition import build_component  # noqa: F401
 from .params import WitnessParams
 
 __all__ = [
@@ -246,6 +248,16 @@ def enumerate_contributing(primitive: PrimitiveGraph) -> List[LabelingPartition]
 # cached primitive lets consecutive queries on it share a single enumeration
 @functools.lru_cache(maxsize=1)
 def _contributing(primitive: PrimitiveGraph) -> Tuple[LabelingPartition, ...]:
+    """Contributing set partitions, in depth-first order of block choice.
+
+    Vertex i joins an earlier block or opens a new one, never sharing a
+    block with a neighbour or couple partner.  An edge closes when its later
+    endpoint is placed; `lonely` counts the block pairs its closed edges hit
+    exactly once.  Each open edge can pair off at most one of them, so a
+    branch whose `lonely` exceeds its open edges holds no contributing leaf
+    and is cut.  A leaf contributes when `lonely` is zero (every labeled
+    edge occurs at least twice) and its block precedences are acyclic.
+    """
     verts = primitive.vertices
     nv = len(verts)
     if nv > _ENUMERATION_BUDGET:
@@ -253,32 +265,25 @@ def _contributing(primitive: PrimitiveGraph) -> Tuple[LabelingPartition, ...]:
     index = {v: i for i, v in enumerate(verts)}
     edges = [(index[u], index[v]) for u, v in primitive.edges]
     couples = [(index[u], index[v]) for u, v in primitive.couples]
-    for u, v in couples:
-        if u == v:
-            return ()  # a collapsed couple admits no valid labeling
+    if any(u == v for u, v in edges + couples):
+        return ()  # a collapsed edge or couple admits no valid labeling
 
-    # conflicting(i) = vertices that may never share a block with i
-    conflict = [set() for _ in range(nv)]
+    # earlier[i] = earlier vertices that may never share a block with i;
+    # closing[i] = earlier endpoints of the edges that close at i
+    earlier: List[set] = [set() for _ in range(nv)]
+    closing: List[List[int]] = [[] for _ in range(nv)]
+    for u, v in edges + couples:
+        earlier[max(u, v)].add(min(u, v))
     for u, v in edges:
-        if u == v:
-            return ()
-        conflict[u].add(v)
-        conflict[v].add(u)
-    for u, v in couples:
-        conflict[u].add(v)
-        conflict[v].add(u)
+        closing[max(u, v)].append(min(u, v))
+    # still_open[i] = edges that close at vertex i or later
+    still_open = list(itertools.accumulate(map(len, reversed(closing))))[::-1]
 
     assign = [0] * nv
+    hits = [0] * (nv * nv)  # closed edges per block pair (lo, hi) at lo*nv + hi
     out: List[LabelingPartition] = []
 
     def finish(num_blocks: int) -> None:
-        counts: Dict[Tuple[int, int], int] = {}
-        for u, v in edges:
-            bu, bv = assign[u], assign[v]
-            key = (bu, bv) if bu <= bv else (bv, bu)
-            counts[key] = counts.get(key, 0) + 1
-        if any(c < 2 for c in counts.values()):
-            return
         arcs = sorted({(assign[u], assign[v]) for u, v in couples})
         if not _acyclic(num_blocks, arcs):
             return
@@ -292,17 +297,31 @@ def _contributing(primitive: PrimitiveGraph) -> Tuple[LabelingPartition, ...]:
             )
         )
 
-    def descend(i: int, num_blocks: int) -> None:
+    def descend(i: int, num_blocks: int, lonely: int) -> None:
         if i == nv:
-            finish(num_blocks)
+            if lonely == 0:
+                finish(num_blocks)
             return
+        if lonely > still_open[i]:
+            return
+        forbidden = {assign[j] for j in earlier[i]}
         for b in range(num_blocks + 1):
-            if any(assign[j] == b for j in conflict[i] if j < i):
+            if b in forbidden:
                 continue
             assign[i] = b
-            descend(i + 1, max(num_blocks, b + 1))
+            keys = [min(b, assign[j]) * nv + max(b, assign[j]) for j in closing[i]]
+            now = lonely
+            for k in keys:
+                hits[k] += 1
+                if hits[k] == 1:
+                    now += 1
+                elif hits[k] == 2:
+                    now -= 1
+            descend(i + 1, max(num_blocks, b + 1), now)
+            for k in keys:
+                hits[k] -= 1
 
-    descend(0, 0)
+    descend(0, 0, 0)
     return tuple(out)
 
 
@@ -314,7 +333,10 @@ def v_star(primitive: PrimitiveGraph) -> int:
     return max(len(p.blocks) for p in partitions)
 
 
-def _linear_extensions(num: int, arcs: Sequence[Tuple[int, int]]) -> int:
+# the audit's partitions repeat few (size, precedence) shapes: 1,665 distinct
+# keys among 6,785 calls
+@functools.lru_cache(maxsize=4096)
+def _linear_extensions(num: int, arcs: Tuple[Tuple[int, int], ...]) -> int:
     preds = [0] * num
     for a, b in arcs:
         preds[b] |= 1 << a
@@ -472,23 +494,26 @@ def _trace_by_graphs(
 def _graph_grams(
     kind: ComponentKind, n: int, p: float, params: WitnessParams
 ) -> Tuple[Tuple[float, np.ndarray], ...]:
-    """(probability, X^T X) of the component X on every graph on n vertices."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    num_slots = len(pairs)
+    """(probability, X^T X) of the component X on every graph on n vertices.
+
+    Graph `bits` has pair s = (i, j) as an edge when bit s is set.  All
+    graphs are stacked on a trailing axis of the centered variables and
+    built in one component_values call.
+    """
+    heads, tails = np.triu_indices(n, 1)
+    num_slots = heads.size
+    graphs = np.arange(1 << num_slots)
+    bits = (graphs >> np.arange(num_slots)[:, None]) & 1
+    g = np.zeros((n, n, graphs.size))
+    g[heads, tails] = g[tails, heads] = bits - p
+    # graph-major copy: each x.T @ x runs on the same C-contiguous matrix as a
+    # one-graph build, so the grams keep their bits
+    xs = np.moveaxis(component_values(g, kind, _prefactor(kind, params)), -1, 0).copy()
     out = []
-    for bits in range(1 << num_slots):
-        adj = np.zeros((n, n), dtype=bool)
-        e = 0
-        for s, (i, j) in enumerate(pairs):
-            if (bits >> s) & 1:
-                adj[i - 1, j - 1] = adj[j - 1, i - 1] = True
-                e += 1
-        weight = p ** e * (1 - p) ** (num_slots - e)
-        graph = GraphInstance(n, p, adj)
-        x = build_component(graph, params, kind).values
+    for e, x in zip(bits.sum(axis=0).tolist(), xs):
         gram = x.T @ x
         gram.flags.writeable = False  # the cache hands it to every caller
-        out.append((weight, gram))
+        out.append((p ** e * (1 - p) ** (num_slots - e), gram))
     return tuple(out)
 
 
@@ -496,8 +521,8 @@ def exact_expected_trace(
     kind: ComponentKind, m: int, n: int, p: float, params: WitnessParams
 ) -> ExpectedTraceResult:
     """E Tr((X^T X)^m) by labeling sums and by exhaustive graph averaging."""
-    if n > 6 or m > 2:
-        raise ValueError(f"exactness budget is n <= 6, m <= 2; got n={n}, m={m}")
+    if not 4 <= n <= 6 or m > 2:
+        raise ValueError(f"exactness budget is 4 <= n <= 6, m <= 2; got n={n}, m={m}")
     if params.p != p:
         raise ValueError(f"edge probability mismatch: p={p}, params.p={params.p}")
     return ExpectedTraceResult(

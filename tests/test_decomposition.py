@@ -14,6 +14,7 @@ from cliquewitness.decomposition import (
     class1_sum_operator,
     component_norm,
     component_operator,
+    component_values,
     ComponentKind,
     EDGE_CHOICES,
     kernel_identities,
@@ -27,6 +28,12 @@ from cliquewitness.spectral import ProjectorFamily, sym_operator_norm
 from cliquewitness.subsets import SubsetIndexer
 
 PARAMS = derive_alphas(0.05, 0.5)
+
+# all 34 component kinds
+ALL_KINDS = [ComponentKind("K"), ComponentKind("L", 1, 1), ComponentKind("L", 1, 2),
+             ComponentKind("L", 2, 1)]
+ALL_KINDS += [ComponentKind("J", eta, nu) for eta, nu in EDGE_CHOICES]
+ALL_KINDS += [ComponentKind("Jtilde", eta, nu) for eta, nu in EDGE_CHOICES]
 
 
 def brute_force_component(graph, params, kind, rows=None):
@@ -104,13 +111,9 @@ def test_component_kind_validation():
 def test_components_match_brute_force():
     graphs = [sample_er(n, p, seed=13 + n) for n in (5, 7, 12) for p in (0.1, 0.5, 0.9)]
     graphs.append(sample_planted(8, 0.5, 5, seed=3))
-    kinds = [ComponentKind("K"), ComponentKind("L", 1, 1), ComponentKind("L", 1, 2),
-             ComponentKind("L", 2, 1)]
-    kinds += [ComponentKind("J", eta, nu) for eta, nu in EDGE_CHOICES]
-    kinds += [ComponentKind("Jtilde", eta, nu) for eta, nu in EDGE_CHOICES]
     for graph in graphs:
         params = derive_alphas(0.05, graph.p)
-        for kind in kinds:
+        for kind in ALL_KINDS:
             got = build_component(graph, params, kind)
             oracle = brute_force_component(graph, params, kind)
             assert np.max(np.abs(got.values - oracle)) <= 1e-15, (graph.n, graph.p, kind.label())
@@ -130,6 +133,22 @@ def test_components_match_brute_force_across_row_blocks():
         oracle = brute_force_component(g, PARAMS, kind, rows)
         for r in rows:
             assert np.max(np.abs(got[r] - oracle[r])) <= 1e-15, (kind.label(), r)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_batched_build_is_bit_identical_to_single_builds(n):
+    # graphs stacked on a trailing axis; at n=12 the 66 pair rows cross the
+    # row block
+    graphs = [sample_er(n, p, seed=40 + b) for b, p in enumerate((0.2, 0.5, 0.8))]
+    g = np.stack([graph.centered for graph in graphs], axis=-1)
+    assert len(ALL_KINDS) == 34
+    for kind in ALL_KINDS:
+        single = [build_component(graph, PARAMS, kind) for graph in graphs]
+        batched = component_values(g, kind, single[0].prefactor)
+        assert batched.shape == single[0].values.shape + (3,)
+        for b, one in enumerate(single):
+            assert np.array_equal(batched[..., b], one.values), (n, kind.label(), b)
+            assert batched[..., b].tobytes() == one.values.tobytes(), (n, kind.label(), b)
 
 
 def test_prefactors():

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from cliquewitness import labelings
-from cliquewitness.decomposition import ComponentKind
+from cliquewitness.decomposition import EDGE_CHOICES, ComponentKind
 from cliquewitness.labelings import (
+    LabelingPartition,
     build_cyclic_ribbon,
     build_primitive,
     constrained_family_v_star,
@@ -102,6 +103,73 @@ def test_enumeration_budget():
         enumerate_contributing(build_primitive("ribbon", 4, 1, 1))
 
 
+def reference_contributing(primitive):
+    # leaf-only search: every conflict-free set partition, with the
+    # "each labeled edge at least twice" test made only at the leaf
+    verts = primitive.vertices
+    nv = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [(index[u], index[v]) for u, v in primitive.edges]
+    couples = [(index[u], index[v]) for u, v in primitive.couples]
+    for u, v in couples:
+        if u == v:
+            return ()
+    conflict = [set() for _ in range(nv)]
+    for u, v in edges:
+        if u == v:
+            return ()
+        conflict[u].add(v)
+        conflict[v].add(u)
+    for u, v in couples:
+        conflict[u].add(v)
+        conflict[v].add(u)
+
+    assign = [0] * nv
+    out = []
+
+    def finish(num_blocks):
+        counts = {}
+        for u, v in edges:
+            bu, bv = assign[u], assign[v]
+            key = (bu, bv) if bu <= bv else (bv, bu)
+            counts[key] = counts.get(key, 0) + 1
+        if any(c < 2 for c in counts.values()):
+            return
+        arcs = sorted({(assign[u], assign[v]) for u, v in couples})
+        if not labelings._acyclic(num_blocks, arcs):
+            return
+        blocks = [[] for _ in range(num_blocks)]
+        for i, v in enumerate(verts):
+            blocks[assign[i]].append(v)
+        out.append(LabelingPartition(blocks=tuple(tuple(b) for b in blocks),
+                                     order_constraints=tuple(arcs)))
+
+    def descend(i, num_blocks):
+        if i == nv:
+            finish(num_blocks)
+            return
+        for b in range(num_blocks + 1):
+            if any(assign[j] == b for j in conflict[i] if j < i):
+                continue
+            assign[i] = b
+            descend(i + 1, max(num_blocks, b + 1))
+
+    descend(0, 0)
+    return tuple(out)
+
+
+def test_pruned_enumeration_equals_leaf_only_reference():
+    prims = [build_primitive("cycle", 2 * m) for m in range(1, 6)]
+    prims += [build_primitive("bridge", m) for m in range(1, 4)]
+    prims += [build_primitive("ribbon", m, 4, 1) for m in (1, 2)]
+    prims += [build_primitive("ribbon", m, 1, nu) for nu in range(1, 5) for m in (1, 2)]
+    prims += [g for m in range(1, 4) for g in star_ribbon_members(m)]
+    prims += [build_cyclic_ribbon(eta, nu, 1) for eta, nu in EDGE_CHOICES]
+    for prim in prims:
+        assert tuple(enumerate_contributing(prim)) == reference_contributing(prim), (
+            prim.kind, prim.m, prim.eta, prim.nu)
+
+
 def test_contributing_partitions_are_acyclic_and_couple_strict():
     prim = build_primitive("bridge", 1)
     parts = enumerate_contributing(prim)
@@ -165,13 +233,14 @@ def test_graph_average_builds_each_graph_once(monkeypatch):
     labelings._graph_grams.cache_clear()
     fresh = exact_expected_trace(kind, 2, 4, 0.5, params).graph_average
     builds = []
-    real = labelings.build_component
-    monkeypatch.setattr(labelings, "build_component",
-                        lambda *args: builds.append(args) or real(*args))
+    real = labelings.component_values
+    monkeypatch.setattr(labelings, "component_values",
+                        lambda g, *args: builds.append(g.shape) or real(g, *args))
     labelings._graph_grams.cache_clear()
     exact_expected_trace(kind, 1, 4, 0.5, params)
     cached = exact_expected_trace(kind, 2, 4, 0.5, params).graph_average
-    assert len(builds) == 2 ** 6  # every graph on 4 vertices, once for both orders
+    # one batched build of every graph on 4 vertices serves both orders
+    assert builds == [(4, 4, 2 ** 6)]
     assert cached == fresh
 
 
@@ -183,6 +252,8 @@ def test_expected_trace_validation():
         exact_expected_trace(ComponentKind("K"), 3, 4, 0.5, params)
     with pytest.raises(ValueError):
         exact_expected_trace(ComponentKind("K"), 1, 7, 0.5, params)
+    with pytest.raises(ValueError, match="4 <= n <= 6"):
+        exact_expected_trace(ComponentKind("K"), 1, 3, 0.5, params)
 
 
 # ----------------------------------------------------------------------
