@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
@@ -80,7 +80,7 @@ _L_EDGES = {(1, 1): ("hh",), (1, 2): ("ht",), (2, 1): ("hh", "ht")}
 # the four codes, each with the code that swaps both ends
 _FLIP = {"hh": "tt", "ht": "th", "th": "ht", "tt": "hh"}
 
-# rows per block of build_component; every temporary is block x C(n, 2)
+# rows per block of _component_blocks; every temporary is block x C(n, 2)
 _COMPONENT_ROW_CHUNK = 64
 
 
@@ -147,6 +147,33 @@ def component_values(g: np.ndarray, kind: ComponentKind, pref: float) -> np.ndar
 
     g is (n, n, *batch): trailing axes stack graphs, and the result is
     (rows, columns, *batch), each graph's slice equal to its own build.
+    """
+    return _component_arrays(g, [kind], [pref])[0]
+
+
+def _component_arrays(
+    g: np.ndarray, kinds: Sequence[ComponentKind], prefs: Sequence[float]
+) -> List[np.ndarray]:
+    """Full values of each kind, scaled by its pref, from one engine pass."""
+    n = g.shape[0]
+    nrows = n if kinds[0].family == "L" else comb(n, 2)
+    vals = [np.empty((nrows, comb(n, 2)) + g.shape[2:]) for _ in kinds]
+    for rows, blocks in _component_blocks(g, kinds, prefs):
+        for v, block in zip(vals, blocks):
+            v[rows] = block
+        del blocks, block  # frees this row block before the engine builds the next
+    return vals
+
+
+def _component_blocks(
+    g: np.ndarray, kinds: Sequence[ComponentKind], prefs: Sequence[float]
+) -> Iterator[Tuple[slice, List[np.ndarray]]]:
+    """Row blocks of several components of one row set, built together.
+
+    Yields, per _COMPONENT_ROW_CHUNK rows, the row slice and each kind's
+    block (block rows, columns, *batch) scaled by its pref, in kinds order.
+    The kinds must share a row set: pairs for K, J and Jtilde, singletons
+    for L.
 
     One cross-edge rule builds every kind.  A pair (i, j) has head end i
     and tail end j; the L row of a singleton a has both ends a.  The code
@@ -154,40 +181,59 @@ def component_values(g: np.ndarray, kind: ComponentKind, pref: float) -> np.ndar
     codes' gathers, and J and L(1, nu) zero the entries whose index sets
     overlap (g_ii = 0 zeroes them in Jtilde and L(2, 1)).  K sums, over the
     codes whose row and column ends are equal, the gather of the flipped
-    code.  Rows are built _COMPONENT_ROW_CHUNK at a time.
+    code.  Each block takes every column gather it needs and the four
+    end-equality masks once, and all kinds read them.
     """
-    n, batch = g.shape[0], g.shape[2:]
+    n = g.shape[0]
     ix = SubsetIndexer(n)
     cols = {"h": ix.pair_heads - 1, "t": ix.pair_tails - 1}
-    if kind.family == "L":
-        ends = dict.fromkeys("ht", np.arange(n))
-        codes = _L_EDGES[(kind.eta, kind.nu)]
-    else:
-        ends = cols
-        codes = EDGE_CHOICES.get((kind.eta, kind.nu))  # None for K
-    masked = kind.family == "J" or (kind.family == "L" and kind.eta == 1)
-
-    vals = np.empty((ends["h"].size, cols["h"].size) + batch)
-    for start in range(0, vals.shape[0], _COMPONENT_ROW_CHUNK):
-        block = slice(start, start + _COMPONENT_ROW_CHUNK)
-        rows = {end: v[block] for end, v in ends.items()}
-        if codes is None:
-            # one code meets at a one-overlap entry, and the two that meet on
-            # the diagonal flip to g_ii = 0: each entry sums at most one g
-            out = np.zeros((rows["h"].size, vals.shape[1]) + batch)
-            for (x, y), (u, v) in _FLIP.items():
-                r, c = np.divmod(np.flatnonzero(rows[x][:, None] == cols[y]), vals.shape[1])
-                out[r, c] += g[rows[u][r], cols[v][c]]
+    singleton = {kind.family == "L" for kind in kinds}
+    if len(singleton) != 1:
+        raise ValueError("kinds must share one row set: singletons for L, pairs for the others")
+    ends = dict.fromkeys("ht", np.arange(n)) if singleton.pop() else cols
+    # per kind: its codes (None for K), whether overlaps are zeroed, its pref
+    plan = []
+    for kind, pref in zip(kinds, prefs):
+        if kind.family == "L":
+            codes = _L_EDGES[(kind.eta, kind.nu)]
         else:
-            (x, y), *rest = codes
-            out = g[rows[x]][:, cols[y]]
-            for x, y in rest:
-                out *= g[rows[x]][:, cols[y]]
-            if masked:
-                for x, y in _FLIP:
-                    out[rows[x][:, None] == cols[y]] = 0.0
-        np.multiply(pref, out, out=vals[block])
-    return vals
+            codes = EDGE_CHOICES.get((kind.eta, kind.nu))
+        plan.append((codes, kind.family == "J" or (kind.family == "L" and kind.eta == 1), pref))
+    overlaps_needed = any(codes is None or masked for codes, masked, _ in plan)
+    # each gathered code and the last kind to read it: when that kind reads
+    # it first, it takes the gather itself instead of a copy
+    last = {code: i for i, (codes, _, _) in enumerate(plan) for code in codes or ()}
+
+    def row_block(rows: slice) -> List[np.ndarray]:
+        ends_at = {end: v[rows] for end, v in ends.items()}
+        edges = {x + y: g[ends_at[x]].take(cols[y], axis=1) for x, y in last}
+        overlaps = {}
+        if overlaps_needed:
+            overlaps = {x + y: ends_at[x][:, None] == cols[y] for x, y in _FLIP}
+        blocks = []
+        for i, (codes, masked, pref) in enumerate(plan):
+            if codes is None:
+                # one code meets at a one-overlap entry, and the two that meet on
+                # the diagonal flip to g_ii = 0: each entry sums at most one g
+                out = np.zeros(overlaps["hh"].shape + g.shape[2:])
+                for code, (u, v) in _FLIP.items():
+                    r, c = np.divmod(np.flatnonzero(overlaps[code]), out.shape[1])
+                    out[r, c] += g[ends_at[u][r], cols[v][c]]
+            else:
+                first, *rest = codes
+                out = edges.pop(first) if last[first] == i else edges[first].copy()
+                for code in rest:
+                    out *= edges[code]
+                if masked:
+                    for code in _FLIP:
+                        out[overlaps[code]] = 0.0
+            np.multiply(pref, out, out=out)
+            blocks.append(out)
+        return blocks
+
+    for start in range(0, ends["h"].size, _COMPONENT_ROW_CHUNK):
+        rows = slice(start, start + _COMPONENT_ROW_CHUNK)
+        yield rows, row_block(rows)
 
 
 # ----------------------------------------------------------------------
@@ -304,44 +350,63 @@ def class1_sum_norm(graph: GraphInstance, params: WitnessParams) -> float:
 # ----------------------------------------------------------------------
 
 
+def _reconstruct_H22(graph: GraphInstance, params: WitnessParams) -> np.ndarray:
+    """K + sum J(eta, nu), streamed from one engine pass into the pair block."""
+    relaxed = [(1, nu) for nu in range(1, 5)] + [(2, nu) for nu in range(2, 6)]
+    direct = [(2, 1), (2, 6), (4, 1)] + [(3, nu) for nu in range(1, 5)]
+    kinds = [ComponentKind("K")] + [ComponentKind("J", *key) for key in direct + relaxed]
+    kinds += [ComponentKind("Jtilde", *key) for key in relaxed]
+    npairs = comb(graph.n, 2)
+    recon = np.empty((npairs, npairs))
+    prefs = [_prefactor(kind, params) for kind in kinds]
+    for rows, blocks in _component_blocks(graph.centered, kinds, prefs):
+        recon[rows] = _sum_H22(*blocks)
+        del blocks  # frees this row block before the engine builds the next
+    return recon
+
+
+def _sum_H22(k, j21, j26, j41, *rest):
+    """One row block of the H22 reconstruction, in one fixed order per entry:
+    K + ((J(2,1) + J(2,6)) + J(4,1)), then J(3, 1..4), then J - Jtilde for
+    each relaxed key, then each Jtilde added back."""
+    j3, j, jt = rest[:4], rest[4:12], rest[12:]
+    out = k
+    out += (j21 + j26) + j41
+    for x in j3:
+        out += x
+    for x, xt in zip(j, jt):
+        out += x - xt
+    for xt in jt:
+        out += xt
+    return out
+
+
+def _reconstruct_H12(graph: GraphInstance, params: WitnessParams) -> np.ndarray:
+    """(L(1,1) + L(1,2)) + L(2,1), streamed from one engine pass."""
+    kinds = [ComponentKind("L", 1, 1), ComponentKind("L", 1, 2), ComponentKind("L", 2, 1)]
+    recon = np.empty((graph.n, comb(graph.n, 2)))
+    prefs = [_prefactor(kind, params) for kind in kinds]
+    for rows, (l11, l12, l21) in _component_blocks(graph.centered, kinds, prefs):
+        recon[rows] = (l11 + l12) + l21
+        del l11, l12, l21  # frees this row block before the engine builds the next
+    return recon
+
+
 def verify_expansion_H22(graph: GraphInstance, params: WitnessParams) -> float:
     """Max abs residual of the exact pair-block deviation reconstruction."""
-    h = build_matrix(graph, params, kind="H")
-    _, _, h22 = extract_blocks(h)
-    target = h22 - expected_block("H22", graph.n, params)
-
-    def J(eta, nu):
-        return build_component(graph, params, ComponentKind("J", eta, nu)).values
-
-    def Jt(eta, nu):
-        return build_component(graph, params, ComponentKind("Jtilde", eta, nu)).values
-
-    recon = build_component(graph, params, ComponentKind("K")).values
-    recon += J(2, 1) + J(2, 6) + J(4, 1)
-    for nu in range(1, 5):
-        recon += J(3, nu)
-    # each Jtilde is built once and added back after every J - Jtilde term,
-    # in the order that keeps the residual bit for bit
-    relaxed = [(1, nu) for nu in range(1, 5)] + [(2, nu) for nu in range(2, 6)]
-    tilde = {key: Jt(*key) for key in relaxed}
-    for key in relaxed:
-        recon += J(*key) - tilde[key]
-    for key in relaxed:
-        recon += tilde[key]
-    return float(np.max(np.abs(target - recon)))
+    # no name holds the full H while the reconstruction runs
+    target = extract_blocks(build_matrix(graph, params, kind="H"))[2] - expected_block(
+        "H22", graph.n, params
+    )
+    return float(np.max(np.abs(target - _reconstruct_H22(graph, params))))
 
 
 def verify_expansion_H12(graph: GraphInstance, params: WitnessParams) -> float:
     """Max abs residual of the exact mixed-block deviation reconstruction."""
-    h = build_matrix(graph, params, kind="H")
-    _, h12, _ = extract_blocks(h)
-    target = h12 - expected_block("H12", graph.n, params)
-    recon = (
-        build_component(graph, params, ComponentKind("L", 1, 1)).values
-        + build_component(graph, params, ComponentKind("L", 1, 2)).values
-        + build_component(graph, params, ComponentKind("L", 2, 1)).values
+    target = extract_blocks(build_matrix(graph, params, kind="H"))[1] - expected_block(
+        "H12", graph.n, params
     )
-    return float(np.max(np.abs(target - recon)))
+    return float(np.max(np.abs(target - _reconstruct_H12(graph, params))))
 
 
 # ----------------------------------------------------------------------
@@ -368,14 +433,16 @@ def kernel_identities(graph: GraphInstance, params: WitnessParams) -> KernelRepo
     fam = ProjectorFamily(graph.n)
     p2 = fam.dense(2)
 
-    def Jt(eta, nu):
-        return build_component(graph, params, ComponentKind("Jtilde", eta, nu)).values
-
-    sum1 = Jt(1, 1) + Jt(1, 2) + Jt(1, 3) + Jt(1, 4)
+    kinds = [ComponentKind("Jtilde", 1, nu) for nu in range(1, 5)]
+    kinds += [ComponentKind("Jtilde", 2, nu) for nu in range(2, 6)]
+    jt11, jt12, jt13, jt14, jt22, jt23, jt24, jt25 = _component_arrays(
+        graph.centered, kinds, [_prefactor(kind, params) for kind in kinds]
+    )
+    sum1 = jt11 + jt12 + jt13 + jt14
     a = np.linalg.norm(p2 @ sum1, 2)
     b = np.linalg.norm(sum1 @ p2, 2)
-    c = np.linalg.norm((Jt(2, 2) + Jt(2, 4)) @ p2, 2)
-    d = np.linalg.norm(p2 @ (Jt(2, 3) + Jt(2, 5)), 2)
+    c = np.linalg.norm((jt22 + jt24) @ p2, 2)
+    d = np.linalg.norm(p2 @ (jt23 + jt25), 2)
     pref = params.alpha4 * params.p ** 2
     return KernelReport(
         left_class1=float(a),

@@ -11,6 +11,7 @@ subsets exhaustively.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from math import comb, exp, pi, sqrt
@@ -181,14 +182,29 @@ def test_comb(instance: GaussianInstance, k: int, mu: float) -> int:
     threshold = 0.5 * comb(k, 2) * mu
     if threshold <= 0.0:
         return 1  # the empty set already meets a nonpositive threshold
-    a = instance.A
     for size in range(2, min(k, n) + 1):
-        rows = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), size)),
-            dtype=np.int64,
-        ).reshape(-1, size)
-        pi, pj = np.triu_indices(size, 1)
-        sums = a[rows[:, pi], rows[:, pj]].sum(axis=1)
-        if float(sums.max()) >= threshold:
+        if float(_subset_sums(instance.A, size).max()) >= threshold:
             return 1
     return 0
+
+
+def _subset_sums(a: np.ndarray, size: int) -> np.ndarray:
+    """Internal entry sum of every size-subset of the n x n matrix a, one
+    per subset in itertools.combinations order."""
+    return a.ravel()[_subset_pair_table(a.shape[0], size)].sum(axis=1)
+
+
+# a call reads the tables of sizes 2..k: sixteen hold three n at k = 6
+@functools.lru_cache(maxsize=16)
+def _subset_pair_table(n: int, size: int) -> np.ndarray:
+    """Flat indices i * n + j of the pairs i < j of every size-subset of
+    range(n), one row per subset in itertools.combinations order.  Read-only:
+    the cache hands the same table to every caller."""
+    rows = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), size)),
+        dtype=np.int32,
+    ).reshape(-1, size)
+    pi, pj = np.triu_indices(size, 1)
+    table = rows[:, pi] * np.int32(n) + rows[:, pj]
+    table.flags.writeable = False
+    return table

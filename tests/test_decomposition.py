@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from cliquewitness.decomposition import (
 )
 from cliquewitness.models import sample_er, sample_planted
 from cliquewitness.params import derive_alphas
-from cliquewitness.spectral import ProjectorFamily, sym_operator_norm
+from cliquewitness.spectral import ProjectorFamily, expected_block, sym_operator_norm
 from cliquewitness.subsets import SubsetIndexer
+from cliquewitness.witness import build_matrix, extract_blocks
 
 PARAMS = derive_alphas(0.05, 0.5)
 
@@ -319,27 +321,154 @@ def test_expansions_are_exact():
         assert verify_expansion_H12(g, PARAMS) <= 1e-15 * PARAMS.alpha2
 
 
+def reference_recon_H22(graph, params):
+    # the reconstruction from whole components, one build_component each,
+    # summed in the order verify_expansion_H22 keeps entry by entry
+    def J(eta, nu):
+        return build_component(graph, params, ComponentKind("J", eta, nu)).values
+
+    def Jt(eta, nu):
+        return build_component(graph, params, ComponentKind("Jtilde", eta, nu)).values
+
+    recon = build_component(graph, params, ComponentKind("K")).values
+    recon += J(2, 1) + J(2, 6) + J(4, 1)
+    for nu in range(1, 5):
+        recon += J(3, nu)
+    relaxed = [(1, nu) for nu in range(1, 5)] + [(2, nu) for nu in range(2, 6)]
+    tilde = {key: Jt(*key) for key in relaxed}
+    for key in relaxed:
+        recon += J(*key) - tilde[key]
+    for key in relaxed:
+        recon += tilde[key]
+    return recon
+
+
+def reference_recon_H12(graph, params):
+    return (
+        build_component(graph, params, ComponentKind("L", 1, 1)).values
+        + build_component(graph, params, ComponentKind("L", 1, 2)).values
+        + build_component(graph, params, ComponentKind("L", 2, 1)).values
+    )
+
+
+def reference_residual(graph, params, block, recon):
+    _, h12, h22 = extract_blocks(build_matrix(graph, params, kind="H"))
+    target = (h22 if block == "H22" else h12) - expected_block(block, graph.n, params)
+    return float(np.max(np.abs(target - recon)))
+
+
+# n = 12 has 66 pair rows, past one row block; n = 40 spans 13 blocks
+@pytest.mark.parametrize("n, p, clique", [(n, p, None) for n in (5, 12, 40) for p in (0.1, 0.5)]
+                         + [(8, 0.5, 5)])
+def test_streamed_reconstructions_are_bit_identical_to_whole_components(n, p, clique):
+    graph = sample_er(n, p, seed=n) if clique is None else sample_planted(n, p, clique, seed=3)
+    params = derive_alphas(0.05, graph.p)
+    for block, streamed, reference, verify in (
+        ("H22", decomposition._reconstruct_H22, reference_recon_H22, verify_expansion_H22),
+        ("H12", decomposition._reconstruct_H12, reference_recon_H12, verify_expansion_H12),
+    ):
+        want = reference(graph, params)
+        assert streamed(graph, params).tobytes() == want.tobytes(), (graph.n, graph.p, block)
+        assert repr(verify(graph, params)) == repr(reference_residual(graph, params, block, want))
+
+
 def test_expansion_h22_builds_each_component_once(monkeypatch):
     # K, J(2,1), J(2,6), J(4,1), J(3,1..4), and J and Jtilde of (1,1..4)
-    # and (2,2..5): 24 distinct components
-    built = []
-    original = decomposition.build_component
+    # and (2,2..5): 24 distinct components, each evaluated once per row
+    # block by one engine pass, and no whole component built
+    passes, evaluated = [], []
+    engine = decomposition._component_blocks
 
-    def counted(graph, params, kind):
-        built.append(kind)
-        return original(graph, params, kind)
+    def counted(g, kinds, prefs):
+        passes.append(list(kinds))
+        for rows, blocks in engine(g, kinds, prefs):
+            evaluated.append(len(blocks))
+            yield rows, blocks
 
-    monkeypatch.setattr(decomposition, "build_component", counted)
-    g = sample_er(15, 0.5, seed=0)
+    def no_build(*args):
+        raise AssertionError("built a whole component")
+
+    monkeypatch.setattr(decomposition, "_component_blocks", counted)
+    monkeypatch.setattr(decomposition, "build_component", no_build)
+    g = sample_er(15, 0.5, seed=0)  # 105 pair rows: two row blocks
     assert verify_expansion_H22(g, PARAMS) <= 1e-15 * PARAMS.alpha2
-    assert len(built) == 24
-    assert len(set(built)) == 24
+    assert len(passes) == 1
+    assert len(passes[0]) == 24 and len(set(passes[0])) == 24
+    assert evaluated == [24, 24]
+
+
+def test_expansion_h22_holds_no_whole_component():
+    n = 40
+    g = sample_er(n, 0.5, seed=0)
+    pair_block = SubsetIndexer(n).num_pairs ** 2 * 8
+    verify_expansion_H22(g, PARAMS)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        verify_expansion_H22(g, PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the streamed check holds the target, the reconstruction and one row
+    # block (4.1 pair blocks); reconstructing from whole components held K,
+    # eight Jtilde and the J temporaries at once (13.1)
+    assert peak < 6 * pair_block, peak / pair_block
+
+
+def test_one_kind_build_holds_two_row_blocks():
+    # L(2,1) at n=141: three row blocks of singletons.  Beyond the result the
+    # build holds the two gathers of one block; the product takes the first
+    # gather without a copy, and the last block is gone before the next
+    n = 141
+    g = sample_er(n, 0.5, seed=1)
+    npairs = SubsetIndexer(n).num_pairs
+    full, row_block = n * npairs * 8, _COMPONENT_ROW_CHUNK * npairs * 8
+    tracemalloc.start()
+    try:
+        component_values(g.centered, ComponentKind("L", 2, 1), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full + 2.5 * row_block, (peak - full) / row_block
+
+
+def test_engine_blocks_match_one_kind_builds():
+    g = sample_er(12, 0.5, seed=6)  # 66 pair rows: a full and a partial block
+    pair_kinds = [kind for kind in ALL_KINDS if kind.family != "L"]
+    prefs = [build_component(g, PARAMS, kind).prefactor for kind in pair_kinds]
+    together = decomposition._component_arrays(g.centered, pair_kinds, prefs)
+    for kind, pref, vals in zip(pair_kinds, prefs, together):
+        assert vals.tobytes() == component_values(g.centered, kind, pref).tobytes(), kind.label()
+
+
+def test_engine_rejects_mixed_row_sets():
+    g = sample_er(6, 0.5, seed=0)
+    with pytest.raises(ValueError, match="one row set"):
+        list(decomposition._component_blocks(
+            g.centered, [ComponentKind("K"), ComponentKind("L", 2, 1)], [1.0, 1.0]))
+
+
+def reference_kernel_identities(graph, params):
+    # each relaxed component from its own build_component call
+    p2 = ProjectorFamily(graph.n).dense(2)
+
+    def Jt(eta, nu):
+        return build_component(graph, params, ComponentKind("Jtilde", eta, nu)).values
+
+    sum1 = Jt(1, 1) + Jt(1, 2) + Jt(1, 3) + Jt(1, 4)
+    return (
+        float(np.linalg.norm(p2 @ sum1, 2)),
+        float(np.linalg.norm(sum1 @ p2, 2)),
+        float(np.linalg.norm((Jt(2, 2) + Jt(2, 4)) @ p2, 2)),
+        float(np.linalg.norm(p2 @ (Jt(2, 3) + Jt(2, 5)), 2)),
+    )
 
 
 def test_kernel_identities_vanish():
     g = sample_er(12, 0.5, seed=4)
     rep = kernel_identities(g, PARAMS)
     assert rep.max_norm() <= 1e-12 * PARAMS.alpha4 * 12
+    got = (rep.left_class1, rep.right_class1, rep.right_22_24, rep.left_23_25)
+    assert repr(got) == repr(reference_kernel_identities(g, PARAMS))
     assert rep.prefactor == PARAMS.alpha4 * PARAMS.p**2
 
 

@@ -225,6 +225,44 @@ def test_comb_matches_brute_force():
             assert comb_test(inst, 3, mu) == brute_force_comb(inst, 3, mu)
 
 
+def reference_comb(inst, k, mu):
+    # the enumerate-per-call search: every call rebuilds each size's subsets
+    # and gathers their entries with two index arrays; returns the verdict
+    # and the per-size sums it read
+    n = inst.n
+    threshold = 0.5 * math.comb(k, 2) * mu
+    sums = []
+    for size in range(2, min(k, n) + 1):
+        rows = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), size)),
+            dtype=np.int64,
+        ).reshape(-1, size)
+        pi, pj = np.triu_indices(size, 1)
+        sums.append(inst.A[rows[:, pi], rows[:, pj]].sum(axis=1))
+        if float(sums[-1].max()) >= threshold:
+            return 1, sums
+    return 0, sums
+
+
+def assert_comb_matches_reference(inst, k, mu):
+    verdict, sums = reference_comb(inst, k, mu)
+    assert comb_test(inst, k, mu) == verdict
+    for size, want in enumerate(sums, start=2):
+        assert np.array_equal(detect._subset_sums(inst.A, size), want), (inst.n, size)
+
+
+def test_comb_matches_reference_search():
+    for seed in range(10):
+        assert_comb_matches_reference(sample_gaussian(20, 0.0, None, "H0", seed), 6, 2.0)
+        assert_comb_matches_reference(sample_gaussian(20, 2.0, 6, "H1", seed), 6, 2.0)
+
+
+def test_comb_tables_are_kept_per_n():
+    # a table cached for one n is never read at another
+    for n in (20, 12, 20):
+        assert_comb_matches_reference(sample_gaussian(n, 0.0, None, "H0", n), 6, 2.0)
+
+
 def test_comb_edge_cases():
     zero = GaussianInstance(n=10, mu=0.0, k=None, A=np.zeros((10, 10)),
                             hypothesis="H0", planted=None, seed=0)
