@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from math import ceil, log
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +40,12 @@ from .labelings import (
 )
 from .models import GAUSSIAN_METHOD, sample_er, sample_gaussian
 from .params import derive_alphas
-from .spectral import evaluate_W_conditions, psd_check, shifted_cholesky
-from .subsets import SubsetIndexer
-from .witness import _clique_subsets, _full_matrix, fill, padded_table
+from .spectral import evaluate_W_conditions
+from .witness import CliqueStructure, block_psd_check, fill, padded_table
+# not called here; both stay bound because the traced benchmark
+# (perfbench/spans.py) wraps harness.psd_check and harness._full_matrix by name
+from .spectral import psd_check  # noqa: F401
+from .witness import _full_matrix  # noqa: F401
 
 __all__ = [
     "EXPERIMENTS",
@@ -134,56 +137,38 @@ class ResultRecord:
 # ----------------------------------------------------------------------
 
 
-def _witness_structures(n: int, p: float, seed: int) -> np.ndarray:
-    """Code table of M on its nonzero rows, the cliques: |A u B| (int8) where
-    the support holds, OFF_SUPPORT elsewhere.
-
-    The frontier factors each fill in place on the premise that it is exactly
-    symmetric; that is tested here, once per graph, on the codes.
-    """
-    graph, ix = sample_er(n, p, seed=seed), SubsetIndexer(n)
-    codes = _full_matrix(graph, ix, "M", _clique_subsets(graph, ix))
-    if not np.array_equal(codes, codes.T):
-        raise ValueError("witness code table is not symmetric")
-    return codes
-
-
-def _block_verdicts(
-    blocks: Sequence[np.ndarray], table: np.ndarray, tol: float, buf: np.ndarray
-) -> Iterator[int]:
-    """psd_check(fill(codes, table), tol).psd for each symmetric code table, in order.
-
-    Each fill goes into `buf` (at least as large as every table), and
-    spectral.shifted_cholesky factors its transpose in place: that is
-    F-contiguous and, the fill being exactly symmetric, the same matrix, so
-    the verdict is psd_check's without its copies.  That needs a finite
-    table with positive entries at the diagonal codes 0-2 (psd_check then
-    drops no row); any other table takes psd_check itself.
-    """
-    if not (np.all(np.isfinite(table)) and np.all(table[:3] > 0.0)):
-        for codes in blocks:
-            yield int(psd_check(fill(codes, table), tol=tol).psd)
-        return
-    for codes in blocks:
-        block = fill(codes, table, out=buf[: codes.size].reshape(codes.shape))
-        yield int(shifted_cholesky(block.T, tol) is not None)
+def _record(config: ExperimentConfig, n: int, kappa: float, per_seed: Sequence,
+            aggregates: Sequence, t0: Optional[float] = None) -> ResultRecord:
+    """The record of one point of config's sweep, timed from t0 (0.0 untimed)."""
+    return ResultRecord(
+        experiment=config.experiment,
+        n=n,
+        p=config.p,
+        kappa=kappa,
+        per_seed=tuple(per_seed),
+        aggregates=tuple(aggregates),
+        wall_clock=0.0 if t0 is None else time.perf_counter() - t0,
+    )
 
 
 def _frontier_for_n(config: ExperimentConfig, n: int) -> Tuple[float, List[int]]:
     tol = config.tol("psd", 1e-8)
-    blocks = [
-        _witness_structures(n, config.p, config.seed0 + t)
+    structures = [
+        CliqueStructure.of(sample_er(n, config.p, seed=config.seed0 + t))
         for t in range(config.trials)
     ]
-    buf = np.empty(max(codes.size for codes in blocks))
+    buf = np.empty(max(s.codes.size for s in structures))
     allowed_fails = config.trials - ceil(0.9 * config.trials)
 
     def verdicts(kappa: float) -> Optional[List[int]]:
         """Per-graph PSD verdicts at kappa, or None once too many fail."""
         table = padded_table(derive_alphas(kappa, config.p))
+        # a fill of a structure's codes is exactly symmetric, and finite with the table
+        exact = bool(np.all(np.isfinite(table)))
         out: List[int] = []
-        for verdict in _block_verdicts(blocks, table, tol, buf):
-            out.append(verdict)
+        for s in structures:
+            block = fill(s.codes, table, out=buf[: s.codes.size].reshape(s.codes.shape))
+            out.append(int(block_psd_check(block, tol, exact, in_place=True).psd))
             if out.count(0) > allowed_fails:
                 return None
         return out
@@ -221,17 +206,7 @@ def _run_psd_frontier(config: ExperimentConfig) -> List[ResultRecord]:
             ("kappa_star", float(star)),
             ("success_fraction", float(np.mean(outcomes))),
         )
-        records.append(
-            ResultRecord(
-                experiment=config.experiment,
-                n=n,
-                p=config.p,
-                kappa=float(star),
-                per_seed=per_seed,
-                aggregates=aggregates,
-                wall_clock=time.perf_counter() - t0,
-            )
-        )
+        records.append(_record(config, n, float(star), per_seed, aggregates, t0))
     finite = [(n, s) for n, s in stars if np.isfinite(s)]
     if len(finite) >= 2:
         xs = np.log([n for n, _ in finite])
@@ -239,17 +214,7 @@ def _run_psd_frontier(config: ExperimentConfig) -> List[ResultRecord]:
         slope = float(np.polyfit(xs, ys, 1)[0])
     else:
         slope = float("nan")
-    records.append(
-        ResultRecord(
-            experiment=config.experiment,
-            n=0,
-            p=config.p,
-            kappa=0.0,
-            per_seed=(),
-            aggregates=(("slope", slope),),
-            wall_clock=0.0,
-        )
-    )
+    records.append(_record(config, 0, 0.0, (), (("slope", slope),)))
     return records
 
 
@@ -291,17 +256,7 @@ def _run_norm_scaling(config: ExperimentConfig) -> List[ResultRecord]:
             (f"median_{name}", float(np.median(vals)))
             for name, vals in columns.items()
         )
-        records.append(
-            ResultRecord(
-                experiment=config.experiment,
-                n=n,
-                p=config.p,
-                kappa=kappa,
-                per_seed=tuple(per_seed),
-                aggregates=aggregates,
-                wall_clock=time.perf_counter() - t0,
-            )
-        )
+        records.append(_record(config, n, kappa, per_seed, aggregates, t0))
     return records
 
 
@@ -321,20 +276,8 @@ def _run_expansion_identities(config: ExperimentConfig) -> List[ResultRecord]:
             per_seed.append((seed, "residual_H22", float(r22)))
             per_seed.append((seed, "residual_H12", float(r12)))
             worst = max(worst, r22, r12)
-        records.append(
-            ResultRecord(
-                experiment=config.experiment,
-                n=n,
-                p=config.p,
-                kappa=kappa,
-                per_seed=tuple(per_seed),
-                aggregates=(
-                    ("max_residual", float(worst)),
-                    ("scale", float(params.alpha2)),
-                ),
-                wall_clock=time.perf_counter() - t0,
-            )
-        )
+        aggregates = (("max_residual", float(worst)), ("scale", float(params.alpha2)))
+        records.append(_record(config, n, kappa, per_seed, aggregates, t0))
     return records
 
 
@@ -379,17 +322,7 @@ def _run_labeling_audit(config: ExperimentConfig) -> List[ResultRecord]:
         observed = constrained_family_v_star(m)
         aggregates.append((f"v_star[constrained,m={m}]", float(observed)))
         aggregates.append((f"v_star_ok[constrained,m={m}]", float(observed == m + 2)))
-    return [
-        ResultRecord(
-            experiment=config.experiment,
-            n=0,
-            p=config.p,
-            kappa=0.0,
-            per_seed=(),
-            aggregates=tuple(aggregates),
-            wall_clock=time.perf_counter() - t0,
-        )
-    ]
+    return [_record(config, 0, 0.0, (), aggregates, t0)]
 
 
 def _run_detection(config: ExperimentConfig) -> List[ResultRecord]:
@@ -470,17 +403,7 @@ def _run_detection(config: ExperimentConfig) -> List[ResultRecord]:
             aggregates = (("verdict_fraction", float(np.mean(verdicts))),)
         else:
             raise ValueError(f"unknown detection mode {mode!r}")
-        records.append(
-            ResultRecord(
-                experiment=config.experiment,
-                n=n,
-                p=config.p,
-                kappa=kappa,
-                per_seed=tuple(per_seed),
-                aggregates=aggregates,
-                wall_clock=time.perf_counter() - t0,
-            )
-        )
+        records.append(_record(config, n, kappa, per_seed, aggregates, t0))
     return records
 
 
@@ -499,17 +422,7 @@ def _run_w_conditions(config: ExperimentConfig) -> List[ResultRecord]:
             ("all_positive", float(m1 > 0 and m2 > 0 and m3 > 0)),
             ("degenerate", float(report.degenerate)),
         )
-        records.append(
-            ResultRecord(
-                experiment=config.experiment,
-                n=n,
-                p=config.p,
-                kappa=kappa,
-                per_seed=(),
-                aggregates=aggregates,
-                wall_clock=time.perf_counter() - t0,
-            )
-        )
+        records.append(_record(config, n, kappa, (), aggregates, t0))
     return records
 
 

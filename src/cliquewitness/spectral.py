@@ -279,24 +279,6 @@ def _require_symmetric(x: np.ndarray, scale: float) -> float:
     return asym
 
 
-def shifted_cholesky(a: np.ndarray, tol: float) -> Optional[Tuple[float, np.ndarray]]:
-    """Factor a + s I, s = tol * max |diagonal|, by one potrf (upper
-    triangle) in place.
-
-    `a` must be F-contiguous, or potrf factors a copy.  Returns s and the
-    shifted diagonal when the factorization succeeds, None when it fails.
-    potrf is looked up through get_lapack_funcs at each call, so a wrapper
-    of that lookup sees every factorization.
-    """
-    (potrf,) = get_lapack_funcs(("potrf",), (a,))
-    diag = np.diag_indices(a.shape[0])
-    shift = tol * float(np.max(np.abs(a[diag])))
-    shifted_diag = a[diag] + shift
-    a[diag] = shifted_diag
-    _, info = potrf(a, lower=0, clean=0, overwrite_a=1)
-    return (shift, shifted_diag) if info == 0 else None
-
-
 def psd_check(x: np.ndarray, tol: float = 1e-8) -> PsdReport:
     """Certify positive semidefiniteness up to tol * max |diagonal|.
 
@@ -348,23 +330,41 @@ def psd_check(x: np.ndarray, tol: float = 1e-8) -> PsdReport:
     if x is not kept and np.any(x[zero]):
         return PsdReport(certified_min_eig=None, method="zero-diagonal-row",
                          tol=tol, psd=False, scale=scale)
-    dim = kept.shape[0]
-    if dim == 0:
+    if kept.shape[0] == 0:
         return PsdReport(certified_min_eig=0.0, method="zero-matrix",
                          tol=tol, psd=True, scale=scale)
 
     # Fortran order, so potrf factors this copy in place
-    factored = shifted_cholesky(np.array(kept, order="F"), tol)
-    if factored is None:
+    return certified_factorization(np.array(kept, order="F"), tol, x.shape[0] * asym / 2)
+
+
+def certified_factorization(a: np.ndarray, tol: float, asym_term: float = 0.0) -> PsdReport:
+    """psd_check's verdict and certificate (see there) from one potrf (upper
+    triangle) of a + s I, s = tol * max |diagonal|, made in place.
+
+    `a` must be F-contiguous (or potrf factors a copy) and hold no zero
+    diagonal entry.  asym_term is the last term of delta, D max |X - X^T| / 2:
+    0.0 for a matrix known to be exactly symmetric.  potrf is looked up
+    through get_lapack_funcs at each call, so a wrapper of that lookup sees
+    every factorization.
+    """
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    dim = a.shape[0]
+    diag = np.diag_indices(dim)
+    scale = float(np.max(np.abs(a[diag])))
+    shift = tol * scale
+    shifted_diag = a[diag] + shift
+    a[diag] = shifted_diag
+    _, info = potrf(a, lower=0, clean=0, overwrite_a=1)
+    if info != 0:
         return PsdReport(certified_min_eig=None, method="shifted-factorization",
                          tol=tol, psd=False, scale=scale)
-    shift, shifted_diag = factored
     u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
     g = (dim + 1) * u / (1 - 2 * (dim + 1) * u)  # gamma_{d+1} / (1 - gamma_{d+1})
     top = float(shifted_diag.max())
     # the factor 1 + 32 u covers the rounding of this expression
     delta = (g * fsum(shifted_diag) + 2 * dim * (dim + 1 + top) * eta + u * top
-             + x.shape[0] * asym / 2) * (1 + 32 * u)
+             + asym_term) * (1 + 32 * u)
     return PsdReport(certified_min_eig=float(np.nextafter(-shift - delta, -np.inf)),
                      method="shifted-factorization", tol=tol, psd=True, scale=scale)
 

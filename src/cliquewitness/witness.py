@@ -16,6 +16,8 @@ Every entry is read from an int8 code table: |A u B| where the support
 holds, OFF_SUPPORT elsewhere, filled from the alpha table padded with 0.0
 at OFF_SUPPORT.  Kind M has a block form: only the rows and columns of
 cliques can be nonzero, so its block on the clique subsets holds all of it.
+A graph's CliqueStructure holds that block's code table, built once; the
+block build, the feasibility audit and the block PSD verdict all read it.
 """
 
 from __future__ import annotations
@@ -28,15 +30,18 @@ import numpy as np
 
 from .models import GraphInstance
 from .params import WitnessParams, derive_alphas
-from .spectral import PsdReport, psd_check
+from .spectral import PsdReport, certified_factorization, psd_check
 from .subsets import SubsetIndexer
 
 __all__ = [
     "WitnessParams",
     "derive_alphas",
+    "CliqueStructure",
     "MomentMatrix",
     "build_matrix",
     "build_block",
+    "build_h_block",
+    "block_psd_check",
     "extract_blocks",
     "FeasibilityReport",
     "check_sos_feasibility",
@@ -56,34 +61,64 @@ OFF_SUPPORT = 5  # the code of an entry off the support
 
 
 @dataclass(frozen=True)
+class CliqueStructure:
+    """Which subset unions of one graph are cliques, and how large: the
+    kind-M witness of the graph at every alpha.  Build it with `of`.
+
+    `index` holds the ascending subset positions of the cliques, which start
+    with the empty set and the singletons; M vanishes off their rows and
+    columns.  `codes` is the code table of M on them.  It is tested for
+    exact symmetry here, once, so every fill of it is exactly symmetric.
+    """
+
+    graph: GraphInstance
+    indexer: SubsetIndexer
+    index: np.ndarray
+    codes: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, index = self.indexer.n, self.index
+        if not (np.array_equal(index[: n + 1], np.arange(n + 1))
+                and np.all(np.diff(index) > 0) and index[-1] < self.indexer.dim):
+            raise ValueError("index must ascend from the empty set and singletons")
+        if self.codes.shape != (len(index), len(index)):
+            raise ValueError(f"codes need shape {(len(index), len(index))}, got {self.codes.shape}")
+        if not np.array_equal(self.codes, self.codes.T):
+            raise ValueError("witness code table is not symmetric")
+
+    @classmethod
+    def of(cls, graph: GraphInstance) -> "CliqueStructure":
+        ix = SubsetIndexer(graph.n)
+        index = _clique_subsets(graph, ix)
+        return cls(graph, ix, index, _full_matrix(graph, ix, "M", index))
+
+
+@dataclass(frozen=True)
 class MomentMatrix:
     """Dense symmetric matrix over the subset index space.
 
     Kinds "M" and "N" live on the full space (dim x dim, index 0 = empty
     set); kind "H" omits the empty-set row/column (size dim - 1).  A kind-M
-    block form sets `index`: the ascending subset positions of its rows and
-    columns, which start with the empty set and the singletons; the matrix
-    vanishes off them.
+    block form carries its graph's CliqueStructure: its rows and columns are
+    the structure's `index`, and the matrix vanishes off them.
     """
 
     indexer: SubsetIndexer
     kind: str
     values: np.ndarray
     params: WitnessParams
-    index: Optional[np.ndarray] = None
+    structure: Optional[CliqueStructure] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("M", "N", "H"):
             raise ValueError(f"kind must be 'M', 'N' or 'H', got {self.kind}")
         expected = self.indexer.dim - (1 if self.kind == "H" else 0)
-        if self.index is not None:
+        if self.structure is not None:
             if self.kind != "M":
                 raise ValueError(f"the block form is kind 'M', got {self.kind}")
-            head = np.arange(self.n + 1)
-            if not (np.array_equal(self.index[: self.n + 1], head)
-                    and np.all(np.diff(self.index) > 0) and self.index[-1] < expected):
-                raise ValueError("index must ascend from the empty set and singletons")
-            expected = len(self.index)
+            if self.structure.indexer.n != self.n:
+                raise ValueError(f"structure n={self.structure.indexer.n}, matrix n={self.n}")
+            expected = len(self.structure.index)
         if self.values.shape != (expected, expected):
             raise ValueError(
                 f"kind {self.kind} needs shape {(expected, expected)}, got {self.values.shape}"
@@ -92,6 +127,11 @@ class MomentMatrix:
     @property
     def n(self) -> int:
         return self.indexer.n
+
+    @property
+    def index(self) -> Optional[np.ndarray]:
+        """The subset positions of a block form's rows and columns, else None."""
+        return None if self.structure is None else self.structure.index
 
     def objective(self) -> float:
         """Sum of the singleton diagonal entries."""
@@ -125,35 +165,38 @@ def _clique_subsets(graph: GraphInstance, ix: SubsetIndexer) -> np.ndarray:
 
 
 def _full_matrix(
-    graph: GraphInstance, ix: SubsetIndexer, kind: str, index: np.ndarray
+    graph: GraphInstance, ix: SubsetIndexer, kind: str, index: np.ndarray,
+    cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Code table (int8) of kind M or N: |A u B| on the support, OFF_SUPPORT off it.
 
-    Rows and columns span the subsets at positions `index` of the indexer.
-    The support of N is the product of the cross edges between A \\ B and
-    B \\ A; M also needs A and B to be cliques (M = D N D).  The union sizes
-    depend on n alone.  The table is exactly symmetric.
+    Rows span the subsets at positions `index` of the indexer, and columns
+    those at `cols` (`index` again when None).  The support of N is the
+    product of the cross edges between A \\ B and B \\ A; M also needs A
+    and B to be cliques (M = D N D).  The union sizes depend on n alone.  On
+    one index for both sides the table is exactly symmetric.
     """
     first, second, adj = _labels(graph, ix)
-    first, second = first[index], second[index]
-    dim = len(first)
-    count = (first > 0).astype(np.int8) + (second > 0)
-    clique = adj[first, second]
+    if cols is None:
+        cols = index
+    r1, r2, b1, b2 = first[index], second[index], first[cols], second[cols]
+    count = (r1 > 0).astype(np.int8) + (r2 > 0)
+    clique, col_clique = adj[r1, r2], adj[b1, b2]
 
-    codes = np.empty((dim, dim), dtype=np.int8)
-    for start in range(0, dim, _ROW_CHUNK):
+    codes = np.empty((len(r1), len(b1)), dtype=np.int8)
+    for start in range(0, len(r1), _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
-        a1, a2 = first[rows, None], second[rows, None]
+        a1, a2 = r1[rows, None], r2[rows, None]
         # eq_ij: label i of A equals label j of B
-        eq11, eq12, eq21, eq22 = a1 == first, a1 == second, a2 == first, a2 == second
-        sizes = count[rows, None] + ((first > 0) & ~(eq11 | eq21)) + ((second > 0) & ~(eq12 | eq22))
+        eq11, eq12, eq21, eq22 = a1 == b1, a1 == b2, a2 == b1, a2 == b2
+        sizes = count[rows, None] + ((b1 > 0) & ~(eq11 | eq21)) + ((b2 > 0) & ~(eq12 | eq22))
         # an edge term is void when either end lies in both sets
-        adj1, adj2 = adj[first[rows]], adj[second[rows]]
-        support = np.logical_and(adj1[:, first] | eq12 | eq21, adj1[:, second] | eq11 | eq22)
-        support &= adj2[:, first] | eq22 | eq11
-        support &= adj2[:, second] | eq21 | eq12
+        adj1, adj2 = adj[r1[rows]], adj[r2[rows]]
+        support = np.logical_and(adj1[:, b1] | eq12 | eq21, adj1[:, b2] | eq11 | eq22)
+        support &= adj2[:, b1] | eq22 | eq11
+        support &= adj2[:, b2] | eq21 | eq12
         if kind == "M":
-            support &= clique[rows, None] & clique
+            support &= clique[rows, None] & col_clique
         codes[rows] = np.where(support, sizes, OFF_SUPPORT)
     return codes
 
@@ -197,12 +240,28 @@ def build_matrix(graph: GraphInstance, params: WitnessParams, kind: str) -> Mome
 
 
 def build_block(graph: GraphInstance, params: WitnessParams) -> MomentMatrix:
-    """The kind-M witness in block form: its rows and columns of cliques."""
+    """The kind-M witness in block form: a fill of the graph's clique structure."""
+    _check_probability(graph, params)
+    structure = CliqueStructure.of(graph)
+    values = fill(structure.codes, padded_table(params))
+    return MomentMatrix(structure.indexer, "M", values, params, structure)
+
+
+def build_h_block(graph: GraphInstance, params: WitnessParams, block: str) -> np.ndarray:
+    """The block "H12" or "H22" of kind H alone, equal entry for entry to
+    extract_blocks(build_matrix(graph, params, "H")): the code table of N on
+    its rows and the pair columns, filled, minus alpha_|A| alpha_|B|."""
+    if block not in ("H12", "H22"):
+        raise ValueError(f"block must be 'H12' or 'H22', got {block}")
     _check_probability(graph, params)
     ix = SubsetIndexer(graph.n)
-    index = _clique_subsets(graph, ix)
-    values = fill(_full_matrix(graph, ix, "M", index), padded_table(params))
-    return MomentMatrix(indexer=ix, kind="M", values=values, params=params, index=index)
+    pairs = np.arange(ix.n + 1, ix.dim)
+    rows, row_alpha = (pairs, params.alpha2)
+    if block == "H12":
+        rows, row_alpha = np.arange(1, ix.n + 1), params.alpha1
+    values = fill(_full_matrix(graph, ix, "N", rows, pairs), padded_table(params))
+    values -= row_alpha * params.alpha2
+    return values
 
 
 def extract_blocks(mat: MomentMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,6 +388,22 @@ def _clique_region(values: np.ndarray, graph: GraphInstance, ix: SubsetIndexer):
     return index, region
 
 
+def block_psd_check(values: np.ndarray, tol: float, exact: bool,
+                    in_place: bool = False) -> PsdReport:
+    """psd_check(values, tol), report for report, for a block-form witness.
+
+    The caller sets `exact` when values is exactly symmetric with finite
+    entries, as a fill of a CliqueStructure from a finite table is.  With a
+    positive diagonal too, psd_check would drop no row, find no asymmetry
+    and make one potrf on values.  That potrf is made here on values.T,
+    F-contiguous and the same matrix: in place when `in_place` (values is
+    overwritten), else on a copy.  Any other block takes psd_check itself.
+    """
+    if not (exact and np.all(np.diagonal(values) > 0.0)):
+        return psd_check(values, tol=tol)
+    return certified_factorization(values.T if in_place else np.array(values, order="F"), tol)
+
+
 def check_sos_feasibility(
     mat: MomentMatrix, graph: GraphInstance, tol: float = 1e-8
 ) -> FeasibilityReport:
@@ -346,23 +421,28 @@ def check_sos_feasibility(
     are 0.  A union that is not a clique has a position with a non-clique
     side, so its positions agree exactly when none holds a nonzero entry off
     the support: the union audit lists the clique unions of the graph and
-    the unions of those entries.
+    the unions of those entries.  A block form's support and PSD verdict
+    come from its CliqueStructure, which must be the graph's (ValueError
+    otherwise), and block_psd_check; a dense matrix's support is derived
+    here and its verdict is psd_check's.
     """
     if mat.kind != "M":
         raise ValueError(f"feasibility checks apply to kind 'M', got {mat.kind}")
     if mat.n != graph.n:
         raise ValueError(f"dimension mismatch: matrix n={mat.n}, graph n={graph.n}")
     ix = mat.indexer
-    if mat.index is None:
+    if mat.structure is None:
         index, region = _clique_region(mat.values, graph, ix)
-    else:
+        off_support = _full_matrix(graph, ix, "M", index) == OFF_SUPPORT
+    elif np.array_equal(mat.structure.graph.adjacency, graph.adjacency):
         index, region = mat.index, mat.values
-    off_support = _full_matrix(graph, ix, "M", index) == OFF_SUPPORT
+        off_support = mat.structure.codes == OFF_SUPPORT
+    else:
+        raise ValueError("the block's clique structure belongs to another graph")
     slots = _slots(ix, index)
     in_range = bool(np.all(region >= 0.0) and np.all(region <= 1.0))
-    union_ok = np.array_equal(region, region.T) and _unions_agree(
-        region, slots, _clique_unions(graph.adjacency)
-    )
+    symmetric = np.array_equal(region, region.T)
+    union_ok = symmetric and _unions_agree(region, slots, _clique_unions(graph.adjacency))
     # off-support nonzeros, a block of rows at a time: each fails the support
     # test, and the union audit lists their unions
     first, second, _ = _labels(graph, ix)
@@ -374,8 +454,11 @@ def check_sos_feasibility(
         if union_ok and r.size:
             unions = _entry_unions(first, second, index[r + start], index[c])
             union_ok = _unions_agree(region, slots, unions)
+    del off_support  # a mask the size of the block, not needed by the factorization
 
-    psd_report = psd_check(region, tol=tol)  # rows left out of region vanish
+    # rows left out of region vanish; entries in range are finite
+    exact = mat.structure is not None and symmetric and in_range
+    psd_report = block_psd_check(region, tol, exact)
     return FeasibilityReport(
         empty_entry_is_one=bool(region[0, 0] == 1.0),
         entries_in_range=in_range,

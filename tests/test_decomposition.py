@@ -414,6 +414,22 @@ def test_expansion_h22_holds_no_whole_component():
     assert peak < 6 * pair_block, peak / pair_block
 
 
+def test_expansion_h12_builds_no_pair_block():
+    n = 40
+    g = sample_er(n, 0.5, seed=0)
+    pair_block = SubsetIndexer(n).num_pairs ** 2 * 8
+    verify_expansion_H12(g, PARAMS)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        verify_expansion_H12(g, PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the singleton x pair target and reconstruction; building the whole H
+    # to read its mixed block peaked at 3.5 pair blocks
+    assert peak < pair_block, peak / pair_block
+
+
 def test_one_kind_build_holds_two_row_blocks():
     # L(2,1) at n=141: three row blocks of singletons.  Beyond the result the
     # build holds the two gathers of one block; the product takes the first

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from cliquewitness import detect
+from cliquewitness import detect, witness
 from cliquewitness.detect import clique_lower_bound, DetectionOutcome, scale_witness
 from cliquewitness.detect import TestConfig as DetectConfig
 from cliquewitness.detect import test_clique as clique_test
@@ -163,6 +163,21 @@ def test_detection_never_builds_dense_witness(monkeypatch):
     assert submatrix_test(inst, DetectConfig(kappa=1e-3, scaling=0.5), 6.0, 1e-4).feasibility
     g = sample_er(30, 0.5, seed=1)
     assert clique_test(g, DetectConfig(kappa=window_kappa(30)), 0.1).feasibility
+
+
+def test_submatrix_builds_one_code_table(monkeypatch):
+    # the audit reads the support from the block's structure
+    calls = []
+    full_matrix = witness._full_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return full_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "_full_matrix", counted)
+    inst = sample_gaussian(30, 0.0, None, "H0", seed=1)
+    assert submatrix_test(inst, DetectConfig(kappa=criterion9_kappa(30)), 6.0, 1e-4).feasibility
+    assert calls == ["M"]
 
 
 def test_gaussian_thresholding_density():

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 import cliquewitness
-from cliquewitness import harness
+from cliquewitness import harness, witness
 from cliquewitness.harness import (
-    _block_verdicts,
-    _witness_structures,
     check_records,
     emit,
     EXPERIMENTS,
@@ -23,7 +21,13 @@ from cliquewitness.harness import (
 from cliquewitness.models import sample_er
 from cliquewitness.params import derive_alphas
 from cliquewitness.spectral import psd_check
-from cliquewitness.witness import build_matrix, fill, padded_table
+from cliquewitness.witness import (
+    CliqueStructure,
+    block_psd_check,
+    build_matrix,
+    fill,
+    padded_table,
+)
 
 
 def test_experiment_names():
@@ -97,28 +101,42 @@ def test_psd_frontier_pin():
 FRONTIER_STARS = {40: 0.010436495435419099, 50: 0.008126660357097705}
 
 
+def frontier_verdicts(structures, table, tol, buf):
+    # the frontier's verdict on each graph: fill into the shared buffer, then
+    # factor in place, vouching for a finite table
+    exact = bool(np.all(np.isfinite(table)))
+    return [block_psd_check(fill(s.codes, table, out=buf[: s.codes.size].reshape(s.codes.shape)),
+                            tol, exact, in_place=True) for s in structures]
+
+
 @pytest.mark.parametrize("n", sorted(FRONTIER_STARS))
-def test_block_verdicts_match_psd_check(n):
-    # the in-place fill-and-factor verdicts against psd_check on the dense
+def test_block_verdicts_match_psd_check(n, monkeypatch):
+    # the in-place fill-and-factor reports against psd_check on the dense
     # witness, which drops the non-clique rows itself, from 0.5x to 2x kappa*.
     # At tol 1e-4 the shift decides verdicts at kappa* and 1.1 kappa*.
-    blocks = [_witness_structures(n, 0.5, seed) for seed in range(10)]
-    buf = np.empty(max(codes.size for codes in blocks))
+    structures = [CliqueStructure.of(sample_er(n, 0.5, seed=seed)) for seed in range(10)]
+    buf = np.empty(max(s.codes.size for s in structures))
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the block verdict fell back to psd_check")
+
+    monkeypatch.setattr(witness, "psd_check", no_fallback)
     seen = set()
     for factor in (0.5, 0.9, 1.0, 1.1, 2.0):
         params = derive_alphas(factor * FRONTIER_STARS[n], 0.5)
         dense = [build_matrix(sample_er(n, 0.5, seed=seed), params, "M").values
                  for seed in range(10)]
         for tol in (1e-8, 1e-4):
-            got = list(_block_verdicts(blocks, padded_table(params), tol, buf))
-            assert got == [int(psd_check(x, tol=tol).psd) for x in dense], (factor, tol)
-            seen.update(got)
-    assert seen == {0, 1}
+            got = frontier_verdicts(structures, padded_table(params), tol, buf)
+            # field by field, certified_min_eig included
+            assert got == [psd_check(x, tol=tol) for x in dense], (factor, tol)
+            seen.update(report.psd for report in got)
+    assert seen == {False, True}
 
 
 def test_block_verdicts_preconditions(monkeypatch):
-    blocks = [_witness_structures(12, 0.5, seed) for seed in range(3)]
-    buf = np.empty(max(codes.size for codes in blocks))
+    structures = [CliqueStructure.of(sample_er(12, 0.5, seed=seed)) for seed in range(3)]
+    buf = np.empty(max(s.codes.size for s in structures))
     table = padded_table(derive_alphas(0.01, 0.5))
 
     def no_factor(*args, **kwargs):
@@ -126,22 +144,42 @@ def test_block_verdicts_preconditions(monkeypatch):
 
     # a zero diagonal entry (alpha_2 = 0) takes psd_check, which drops the
     # pair rows; a non-finite table takes it too, and it raises
-    monkeypatch.setattr(harness, "shifted_cholesky", no_factor)
+    monkeypatch.setattr(witness, "certified_factorization", no_factor)
     zero_diag = table.copy()
     zero_diag[2] = 0.0
-    got = list(_block_verdicts(blocks, zero_diag, 1e-8, buf))
-    assert got == [int(psd_check(fill(codes, zero_diag)).psd) for codes in blocks]
+    got = frontier_verdicts(structures, zero_diag, 1e-8, buf)
+    assert got == [psd_check(fill(s.codes, zero_diag)) for s in structures]
     for bad in (np.nan, np.inf):
         broken = table.copy()
         broken[4] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            list(_block_verdicts(blocks, broken, 1e-8, buf))
+            frontier_verdicts(structures, broken, 1e-8, buf)
+        monkeypatch.setattr(harness, "padded_table", lambda params, table=broken: table)
+        with pytest.raises(ValueError, match="non-finite"):
+            run(ExperimentConfig(experiment="psd_frontier", n_grid=(12,), trials=3,
+                                 kappa_rule="binary_search"))
     # an asymmetric code table is refused once per graph, before any verdict
-    codes = blocks[0].copy()
+    codes = structures[0].codes.copy()
     codes[0, -1] = 4 if codes[-1, 0] != 4 else 3
-    monkeypatch.setattr(harness, "_full_matrix", lambda *args: codes)
+    monkeypatch.setattr(witness, "_full_matrix", lambda *args: codes)
     with pytest.raises(ValueError, match="not symmetric"):
-        _witness_structures(12, 0.5, 0)
+        CliqueStructure.of(sample_er(12, 0.5, seed=0))
+
+
+def test_frontier_builds_one_code_table_per_graph(monkeypatch):
+    calls = []
+    full_matrix = witness._full_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].seed)
+        return full_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "_full_matrix", counted)
+    cfg = ExperimentConfig(experiment="psd_frontier", n_grid=(12,), trials=3,
+                           kappa_rule="binary_search")
+    (record, _) = run(cfg)
+    assert calls == [0, 1, 2]  # one per graph, across every bisection step
+    assert 0.0 < dict(record.aggregates)["kappa_star"] < 0.1
 
 
 # sha256 of the detection CSVs these configs printed before the block form

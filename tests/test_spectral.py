@@ -7,7 +7,6 @@ import scipy.linalg
 from scipy.sparse.linalg import LinearOperator
 
 from cliquewitness import spectral
-from cliquewitness.harness import _witness_structures
 from cliquewitness.models import GraphInstance, sample_er
 from cliquewitness.params import WitnessParams, derive_alphas
 from cliquewitness.spectral import (
@@ -23,7 +22,7 @@ from cliquewitness.spectral import (
     sym_operator_norm,
 )
 from cliquewitness.subsets import SubsetIndexer
-from cliquewitness.witness import build_matrix, extract_blocks, fill, padded_table
+from cliquewitness.witness import CliqueStructure, build_matrix, extract_blocks, fill, padded_table
 
 PARAMS = derive_alphas(0.05, 0.5)
 
@@ -250,13 +249,26 @@ def test_psd_check_certificate_on_frontier_witness():
     # the n=40 frontier at its pinned kappa*: seed 0 is PSD, seed 7 is not
     table = padded_table(derive_alphas(0.010436495435419099, 0.5))
     for seed, want in ((0, True), (7, False)):
-        values = fill(_witness_structures(40, 0.5, seed), table)
+        values = fill(CliqueStructure.of(sample_er(40, 0.5, seed=seed)).codes, table)
         rep = psd_check(values)
         assert rep.psd == want
         if want:
             assert rep.certified_min_eig <= scipy.linalg.eigvalsh(values)[0]
         else:
             assert rep.certified_min_eig is None
+
+
+def test_psd_check_certificate_pays_for_asymmetry():
+    # potrf reads the upper triangle, so a tolerated lower-triangle gap
+    # leaves the factorization alone and lowers the certificate by D gap / 2
+    dim, gap = 30, 1e-12
+    sym = np.eye(dim) + 0.01 * np.ones((dim, dim))
+    skew = sym.copy()
+    skew[dim - 1, 0] += gap
+    exact, tolerated = psd_check(sym), psd_check(skew)
+    assert exact.psd and tolerated.psd
+    drop = exact.certified_min_eig - tolerated.certified_min_eig
+    assert dim * gap / 2 * 0.99 < drop < dim * gap / 2 * 1.01
 
 
 def test_psd_check_large_factorization_path(potrf_calls):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cliquewitness.witness import (
     _slots,
     _unions_agree,
     build_block,
+    build_h_block,
     build_matrix,
     check_sos_feasibility,
     dump_matrix,
@@ -107,16 +109,43 @@ def test_block_form_is_the_clique_block_of_m():
 def test_block_form_validation(tmp_path):
     g = sample_er(6, 0.5, seed=2)
     block = build_block(g, PARAMS)
-    ix, index, values = block.indexer, block.index, block.values
+    ix, structure, values = block.indexer, block.structure, block.values
+    index, codes = structure.index, structure.codes
     for bad in (index[1:], index[::-1], np.append(index[:-1], ix.dim)):
-        with pytest.raises(ValueError):
-            MomentMatrix(ix, "M", values[: len(bad), : len(bad)], PARAMS, index=bad)
+        with pytest.raises(ValueError, match="index must ascend"):
+            replace(structure, index=bad, codes=codes[: len(bad), : len(bad)])
+    with pytest.raises(ValueError, match="codes need shape"):
+        replace(structure, codes=codes[1:, 1:])
     with pytest.raises(ValueError):
-        MomentMatrix(ix, "N", values, PARAMS, index=index)
+        MomentMatrix(ix, "N", values, PARAMS, structure)
     with pytest.raises(ValueError):
-        MomentMatrix(ix, "M", values[1:, 1:], PARAMS, index=index)
+        MomentMatrix(ix, "M", values[1:, 1:], PARAMS, structure)
+    with pytest.raises(ValueError, match="structure n=6"):
+        MomentMatrix(SubsetIndexer(7), "M", values, PARAMS, structure)
     with pytest.raises(ValueError):
         dump_matrix(block, str(tmp_path / "block.txt"))
+
+
+def test_block_audit_rejects_another_graphs_structure():
+    g1, g2 = sample_er(8, 0.5, seed=1), sample_er(8, 0.5, seed=2)
+    assert not np.array_equal(g1.adjacency, g2.adjacency)
+    block = build_block(g1, PARAMS)
+    assert check_sos_feasibility(block, g1).vanishes_off_cliques
+    with pytest.raises(ValueError, match="another graph"):
+        check_sos_feasibility(block, g2)
+
+
+def test_h_blocks_are_the_blocks_of_h():
+    # bit for bit, on rows and columns that differ in size and in clique status
+    for g in oracle_graphs(5):
+        pr = derive_alphas(0.05, g.p)
+        _, h12, h22 = extract_blocks(build_matrix(g, pr, "H"))
+        assert build_h_block(g, pr, "H12").tobytes() == np.ascontiguousarray(h12).tobytes()
+        assert build_h_block(g, pr, "H22").tobytes() == np.ascontiguousarray(h22).tobytes()
+    with pytest.raises(ValueError):
+        build_h_block(g, pr, "H11")
+    with pytest.raises(ValueError):
+        build_h_block(g, derive_alphas(0.05, 0.3), "H22")
 
 
 def test_complete_graph_values():
