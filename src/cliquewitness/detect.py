@@ -11,11 +11,10 @@ subsets exhaustively.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from math import comb, exp, pi, sqrt
-from typing import Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -190,21 +189,53 @@ def test_comb(instance: GaussianInstance, k: int, mu: float) -> int:
 
 def _subset_sums(a: np.ndarray, size: int) -> np.ndarray:
     """Internal entry sum of every size-subset of the n x n matrix a, one
-    per subset in itertools.combinations order."""
-    return a.ravel()[_subset_pair_table(a.shape[0], size)].sum(axis=1)
+    per subset in itertools.combinations order.  Gathered one table block
+    at a time; each subset's sum is the same as in one whole gather."""
+    flat = a.ravel()
+    return np.concatenate([flat[block].sum(axis=1) for block in _pair_tables(a.shape[0], size)])
 
 
-# a call reads the tables of sizes 2..k: sixteen hold three n at k = 6
-@functools.lru_cache(maxsize=16)
-def _subset_pair_table(n: int, size: int) -> np.ndarray:
-    """Flat indices i * n + j of the pairs i < j of every size-subset of
-    range(n), one row per subset in itertools.combinations order.  Read-only:
-    the cache hands the same table to every caller."""
-    rows = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), size)),
-        dtype=np.int32,
-    ).reshape(-1, size)
+# subsets per block of a pair table: a gather of one block is at most
+# _SUBSET_ROWS x C(12, 2) x 8 bytes, 8.7 MB
+_SUBSET_ROWS = 1 << 14
+# bytes of pair tables kept between calls.  Criterion 9's tables at n = 20,
+# k = 6 take 3.1 MB in all; the one at n = 24, size 12 would take 714 MB
+_TABLE_CACHE_BYTES = 64 << 20
+_table_cache: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _pair_tables(n: int, size: int) -> Iterator[np.ndarray]:
+    """The flat indices i * n + j of the pairs i < j of every size-subset of
+    range(n), one row per subset in itertools.combinations order, in blocks
+    of _SUBSET_ROWS rows.
+
+    A table that fits in _TABLE_CACHE_BYTES is built whole, made read-only
+    and cached, evicting the oldest tables until the cache fits; a larger
+    one is built block by block and never held whole.
+    """
+    table = _table_cache.get((n, size))
+    if table is None:
+        blocks = _pair_table_blocks(n, size)
+        if comb(n, size) * comb(size, 2) * 4 > _TABLE_CACHE_BYTES:  # int32 entries
+            yield from blocks
+            return
+        table = np.concatenate(list(blocks))
+        table.flags.writeable = False
+        while sum(t.nbytes for t in _table_cache.values()) + table.nbytes > _TABLE_CACHE_BYTES:
+            del _table_cache[next(iter(_table_cache))]
+        _table_cache[(n, size)] = table
+    for start in range(0, len(table), _SUBSET_ROWS):
+        yield table[start : start + _SUBSET_ROWS]
+
+
+def _pair_table_blocks(n: int, size: int) -> Iterator[np.ndarray]:
+    combos = itertools.combinations(range(n), size)
     pi, pj = np.triu_indices(size, 1)
-    table = rows[:, pi] * np.int32(n) + rows[:, pj]
-    table.flags.writeable = False
-    return table
+    while True:
+        rows = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, _SUBSET_ROWS)),
+            dtype=np.int32,
+        ).reshape(-1, size)
+        if not len(rows):
+            return
+        yield rows[:, pi] * np.int32(n) + rows[:, pj]

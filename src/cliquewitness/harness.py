@@ -275,7 +275,7 @@ def _run_expansion_identities(config: ExperimentConfig) -> List[ResultRecord]:
             r12 = verify_expansion_H12(graph, params)
             per_seed.append((seed, "residual_H22", float(r22)))
             per_seed.append((seed, "residual_H12", float(r12)))
-            worst = max(worst, r22, r12)
+            worst = np.max((worst, r22, r12))  # a NaN residual stays NaN
         aggregates = (("max_residual", float(worst)), ("scale", float(params.alpha2)))
         records.append(_record(config, n, kappa, per_seed, aggregates, t0))
     return records
@@ -551,7 +551,7 @@ def check_records(config: ExperimentConfig, records: Sequence[ResultRecord]) -> 
             meds = [
                 _aggregate(records, n, f"median_{name}") for n in config.n_grid
             ]
-            if any(m is None or m <= 0 for m in meds):
+            if any(m is None or not m > 0 for m in meds):  # NaN fails
                 return False
             if max(meds) / min(meds) > 4.0:
                 return False
@@ -561,7 +561,7 @@ def check_records(config: ExperimentConfig, records: Sequence[ResultRecord]) -> 
         for rec in records:
             worst = _aggregate(records, rec.n, "max_residual")
             scale = _aggregate(records, rec.n, "scale")
-            if worst is None or scale is None or worst > tol * scale:
+            if worst is None or scale is None or not worst <= tol * scale:  # NaN fails
                 return False
         return True
     if config.experiment == "labeling_audit":

@@ -141,43 +141,54 @@ class ExpectedSpectrum:
     multiplicities: Tuple[int, int, int]
 
 
-def _overlap_counts(ix: SubsetIndexer) -> np.ndarray:
-    hi = ix.pair_heads[:, None]
-    ti = ix.pair_tails[:, None]
-    hj = ix.pair_heads[None, :]
-    tj = ix.pair_tails[None, :]
-    return (
-        (hi == hj).astype(np.int8)
-        + (hi == tj).astype(np.int8)
-        + (ti == hj).astype(np.int8)
-        + (ti == tj).astype(np.int8)
-    )
-
-
 def expected_block(block: str, n: int, params: WitnessParams) -> np.ndarray:
     """Exact expectation of a centered-witness block over the edge draw."""
+    if block != "H11":
+        return expected_rows(block, n, params)(slice(None))
+    if n < 5:
+        raise ValueError(f"expected blocks need n >= 5, got {n}")
+    a1, a2 = params.alpha1, params.alpha2
+    p = params.p
+    out = np.full((n, n), a2 * p - a1 * a1)
+    np.fill_diagonal(out, (a1 - a2 * p) + (a2 * p - a1 * a1))
+    return out
+
+
+def expected_rows(block: str, n: int, params: WitnessParams) -> Callable[[slice], np.ndarray]:
+    """Rows of the exact expectation of the block "H12" or "H22": a function
+    of a row slice, made once n and the block are checked.
+
+    An entry depends only on how many vertices its row and column subsets
+    share: none, one, or (on the H22 diagonal) both.
+    """
     if n < 5:
         raise ValueError(f"expected blocks need n >= 5, got {n}")
     a1, a2, a3, a4 = params.alpha
     p = params.p
-    if block == "H11":
-        out = np.full((n, n), a2 * p - a1 * a1)
-        np.fill_diagonal(out, (a1 - a2 * p) + (a2 * p - a1 * a1))
-        return out
     ix = SubsetIndexer(n)
+    heads, tails = ix.pair_heads, ix.pair_tails
     if block == "H12":
-        out = np.full((n, ix.num_pairs), a3 * p * p - a1 * a2)
-        rows = np.arange(1, n + 1)[:, None]
-        touching = (ix.pair_heads[None, :] == rows) | (ix.pair_tails[None, :] == rows)
-        out[touching] = a2 - a1 * a2
-        return out
-    if block == "H22":
-        ov = _overlap_counts(ix)
-        out = np.full((ix.num_pairs, ix.num_pairs), a4 * p**4 - a2 * a2)
-        out[ov == 1] = a3 * p - a2 * a2
-        np.fill_diagonal(out, a2 - a2 * a2)
-        return out
-    raise ValueError(f"block must be 'H11', 'H12' or 'H22', got {block}")
+        vertices = np.arange(1, n + 1)
+
+        def rows_of(rows: slice) -> np.ndarray:
+            v = vertices[rows, None]
+            out = np.full((len(v), ix.num_pairs), a3 * p * p - a1 * a2)
+            out[(heads == v) | (tails == v)] = a2 - a1 * a2
+            return out
+
+    elif block == "H22":
+
+        def rows_of(rows: slice) -> np.ndarray:
+            hi, ti = heads[rows, None], tails[rows, None]
+            shared = (hi == heads).astype(np.int8) + (hi == tails) + (ti == heads) + (ti == tails)
+            out = np.full(shared.shape, a4 * p**4 - a2 * a2)
+            out[shared == 1] = a3 * p - a2 * a2
+            out[shared == 2] = a2 - a2 * a2  # a pair shares both vertices only with itself
+            return out
+
+    else:
+        raise ValueError(f"block must be 'H11', 'H12' or 'H22', got {block}")
+    return rows_of
 
 
 def eigenvalues_expected_H22(n: int, params: WitnessParams) -> ExpectedSpectrum:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ __all__ = [
     "MomentMatrix",
     "build_matrix",
     "build_block",
-    "build_h_block",
+    "h_rows",
     "block_psd_check",
     "extract_blocks",
     "FeasibilityReport",
@@ -247,21 +247,28 @@ def build_block(graph: GraphInstance, params: WitnessParams) -> MomentMatrix:
     return MomentMatrix(structure.indexer, "M", values, params, structure)
 
 
-def build_h_block(graph: GraphInstance, params: WitnessParams, block: str) -> np.ndarray:
-    """The block "H12" or "H22" of kind H alone, equal entry for entry to
-    extract_blocks(build_matrix(graph, params, "H")): the code table of N on
-    its rows and the pair columns, filled, minus alpha_|A| alpha_|B|."""
+def h_rows(graph: GraphInstance, params: WitnessParams, block: str) -> Callable[[slice], np.ndarray]:
+    """Rows of the block "H12" or "H22" of kind H: a function of a row slice,
+    made once the block and p are checked.  Its rows equal, entry for entry,
+    the same rows of extract_blocks(build_matrix(graph, params, "H")): the
+    code table of N on the row subsets against the pair columns, filled,
+    minus alpha_|A| alpha_2."""
     if block not in ("H12", "H22"):
         raise ValueError(f"block must be 'H12' or 'H22', got {block}")
     _check_probability(graph, params)
     ix = SubsetIndexer(graph.n)
     pairs = np.arange(ix.n + 1, ix.dim)
-    rows, row_alpha = (pairs, params.alpha2)
+    subsets, row_alpha = (pairs, params.alpha2)
     if block == "H12":
-        rows, row_alpha = np.arange(1, ix.n + 1), params.alpha1
-    values = fill(_full_matrix(graph, ix, "N", rows, pairs), padded_table(params))
-    values -= row_alpha * params.alpha2
-    return values
+        subsets, row_alpha = np.arange(1, ix.n + 1), params.alpha1
+    table = padded_table(params)
+
+    def rows_of(rows: slice) -> np.ndarray:
+        values = fill(_full_matrix(graph, ix, "N", subsets[rows], pairs), table)
+        values -= row_alpha * params.alpha2
+        return values
+
+    return rows_of
 
 
 def extract_blocks(mat: MomentMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

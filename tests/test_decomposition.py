@@ -357,19 +357,72 @@ def reference_residual(graph, params, block, recon):
     return float(np.max(np.abs(target - recon)))
 
 
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def streamed_recon(graph, params, kinds, fold):
+    # the rows verify_expansion_H22 / _H12 subtract, gathered into one block
+    npairs = SubsetIndexer(graph.n).num_pairs
+    recon = np.empty((graph.n if kinds[0].family == "L" else npairs, npairs))
+    prefs = [decomposition._prefactor(kind, params) for kind in kinds]
+    for rows, blocks in decomposition._component_blocks(graph.centered, kinds, prefs):
+        recon[rows] = fold(*blocks)
+    return recon
+
+
 # n = 12 has 66 pair rows, past one row block; n = 40 spans 13 blocks
 @pytest.mark.parametrize("n, p, clique", [(n, p, None) for n in (5, 12, 40) for p in (0.1, 0.5)]
                          + [(8, 0.5, 5)])
 def test_streamed_reconstructions_are_bit_identical_to_whole_components(n, p, clique):
     graph = sample_er(n, p, seed=n) if clique is None else sample_planted(n, p, clique, seed=3)
     params = derive_alphas(0.05, graph.p)
-    for block, streamed, reference, verify in (
-        ("H22", decomposition._reconstruct_H22, reference_recon_H22, verify_expansion_H22),
-        ("H12", decomposition._reconstruct_H12, reference_recon_H12, verify_expansion_H12),
+    for block, kinds, fold, reference, verify in (
+        ("H22", decomposition._H22_KINDS, decomposition._sum_H22, reference_recon_H22,
+         verify_expansion_H22),
+        ("H12", decomposition._H12_KINDS, decomposition._sum_H12, reference_recon_H12,
+         verify_expansion_H12),
     ):
         want = reference(graph, params)
-        assert streamed(graph, params).tobytes() == want.tobytes(), (graph.n, graph.p, block)
+        recon = streamed_recon(graph, params, kinds, fold)
+        assert recon.tobytes() == want.tobytes(), (graph.n, graph.p, block)
         assert repr(verify(graph, params)) == repr(reference_residual(graph, params, block, want))
+
+
+@pytest.mark.parametrize("nan_block", [0, 1])
+def test_streamed_residual_keeps_a_nan_of_any_row_block(monkeypatch, nan_block):
+    calls = []
+    fold = decomposition._sum_H22
+
+    def one_nan_block(*blocks):
+        out = fold(*blocks)
+        if len(calls) == nan_block:
+            out[0, 0] = np.nan
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(decomposition, "_sum_H22", one_nan_block)
+    g = sample_er(15, 0.5, seed=0)  # 105 pair rows: two row blocks
+    assert np.isnan(verify_expansion_H22(g, PARAMS))
+    assert calls == [64, 41]
+
+
+def test_expansion_checks_validate_before_any_work(monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("the engine ran before the inputs were checked")
+
+    monkeypatch.setattr(decomposition, "_component_blocks", no_engine)
+    for verify in (verify_expansion_H22, verify_expansion_H12):
+        with pytest.raises(ValueError, match="edge probability mismatch"):
+            verify(sample_er(12, 0.5, seed=0), derive_alphas(0.05, 0.3))
+        with pytest.raises(ValueError, match="n >= 5"):
+            verify(sample_er(4, 0.5, seed=0), PARAMS)
 
 
 def test_expansion_h22_builds_each_component_once(monkeypatch):
@@ -398,20 +451,16 @@ def test_expansion_h22_builds_each_component_once(monkeypatch):
 
 
 def test_expansion_h22_holds_no_whole_component():
-    n = 40
-    g = sample_er(n, 0.5, seed=0)
-    pair_block = SubsetIndexer(n).num_pairs ** 2 * 8
-    verify_expansion_H22(g, PARAMS)  # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        verify_expansion_H22(g, PARAMS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the streamed check holds the target, the reconstruction and one row
-    # block (4.1 pair blocks); reconstructing from whole components held K,
-    # eight Jtilde and the J temporaries at once (13.1)
-    assert peak < 6 * pair_block, peak / pair_block
+    # the residual is taken one engine row block at a time, so the peak is
+    # the 24 component blocks of 64 rows: 2.1 pair blocks at n = 40 and 0.93
+    # at n = 60.  Holding the whole target and reconstruction read 4.1 and
+    # 3.0, and reconstructing from whole components 13.1 at n = 40
+    for n, bound in ((40, 2.5), (60, 1.2)):
+        g = sample_er(n, 0.5, seed=0)
+        pair_block = SubsetIndexer(n).num_pairs ** 2 * 8
+        verify_expansion_H22(g, PARAMS)  # warm caches outside the trace
+        peak = traced_peak(verify_expansion_H22, g, PARAMS)
+        assert peak < bound * pair_block, (n, peak / pair_block)
 
 
 def test_expansion_h12_builds_no_pair_block():
@@ -419,14 +468,8 @@ def test_expansion_h12_builds_no_pair_block():
     g = sample_er(n, 0.5, seed=0)
     pair_block = SubsetIndexer(n).num_pairs ** 2 * 8
     verify_expansion_H12(g, PARAMS)  # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        verify_expansion_H12(g, PARAMS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the singleton x pair target and reconstruction; building the whole H
-    # to read its mixed block peaked at 3.5 pair blocks
+    peak = traced_peak(verify_expansion_H12, g, PARAMS)
+    # building the whole H to read its mixed block peaked at 3.5 pair blocks
     assert peak < pair_block, peak / pair_block
 
 
@@ -438,12 +481,7 @@ def test_one_kind_build_holds_two_row_blocks():
     g = sample_er(n, 0.5, seed=1)
     npairs = SubsetIndexer(n).num_pairs
     full, row_block = n * npairs * 8, _COMPONENT_ROW_CHUNK * npairs * 8
-    tracemalloc.start()
-    try:
-        component_values(g.centered, ComponentKind("L", 2, 1), 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(component_values, g.centered, ComponentKind("L", 2, 1), 1.0)
     assert peak < full + 2.5 * row_block, (peak - full) / row_block
 
 

@@ -278,6 +278,23 @@ def test_comb_tables_are_kept_per_n():
         assert_comb_matches_reference(sample_gaussian(n, 0.0, None, "H0", n), 6, 2.0)
 
 
+def test_comb_cache_is_bounded_in_bytes(monkeypatch):
+    inst = sample_gaussian(20, 0.0, None, "H0", 1)
+    # criterion 9's tables (n = 20, sizes 2..6) stay cached under the real bound
+    monkeypatch.setattr(detect, "_table_cache", {})
+    assert_comb_matches_reference(inst, 6, 2.0)
+    assert sorted(detect._table_cache) == [(20, size) for size in range(2, 7)]
+    # under 700 kB the 620 kB size-5 table evicts the three older ones, and
+    # the 2.3 MB size-6 table is built block by block and never kept; small
+    # blocks split every size into several gathers
+    monkeypatch.setattr(detect, "_table_cache", {})
+    monkeypatch.setattr(detect, "_TABLE_CACHE_BYTES", 700_000)
+    monkeypatch.setattr(detect, "_SUBSET_ROWS", 1000)
+    for _ in range(2):  # the second call reads the size-5 table from the cache
+        assert_comb_matches_reference(inst, 6, 2.0)
+        assert list(detect._table_cache) == [(20, 5)]
+
+
 def test_comb_edge_cases():
     zero = GaussianInstance(n=10, mu=0.0, k=None, A=np.zeros((10, 10)),
                             hypothesis="H0", planted=None, seed=0)

@@ -278,6 +278,36 @@ def test_check_records_expansion_and_w_conditions():
     assert check_records(wcfg, run(wcfg)) is False
 
 
+def test_nan_residual_reaches_max_residual_and_fails_check(monkeypatch):
+    # one seed's H22 residual is NaN: Python's max(0.0, nan, x) dropped it
+    verify = harness.verify_expansion_H22
+    calls = []
+
+    def nan_on_second_seed(graph, params):
+        calls.append(graph)
+        return float("nan") if len(calls) == 2 else verify(graph, params)
+
+    monkeypatch.setattr(harness, "verify_expansion_H22", nan_on_second_seed)
+    cfg = expansion_config()
+    records = run(cfg)
+    assert math.isnan(dict(records[0].aggregates)["max_residual"])
+    assert check_records(cfg, records) is False
+
+
+def norm_record(n, median):
+    aggregates = [(f"median_{name}", median) for name, _ in harness._RATIO_KINDS]
+    return ResultRecord(experiment="norm_scaling", n=n, p=0.5, kappa=0.01,
+                        per_seed=(), aggregates=tuple(aggregates), wall_clock=0.0)
+
+
+def test_check_records_norm_scaling_fails_on_nan_medians():
+    cfg = ExperimentConfig(experiment="norm_scaling", n_grid=(12, 30))
+    assert check_records(cfg, [norm_record(12, 1.0), norm_record(30, 2.0)]) is True
+    assert check_records(cfg, [norm_record(12, 1.0), norm_record(30, 5.0)]) is False
+    assert check_records(cfg, [norm_record(12, 1.0), norm_record(30, float("nan"))]) is False
+    assert check_records(cfg, [norm_record(12, float("nan")), norm_record(30, 1.0)]) is False
+
+
 def frontier_record(n, kappa_star, slope=None):
     aggregates = []
     if kappa_star is not None:

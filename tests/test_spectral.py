@@ -15,6 +15,7 @@ from cliquewitness.spectral import (
     eigenvalues_expected_H22,
     expected_block,
     expected_H12_norms,
+    expected_rows,
     ProjectorFamily,
     psd_check,
     rect_operator_norm,
@@ -116,11 +117,44 @@ def test_expected_blocks_match_all_graph_average():
         assert np.max(np.abs(avg - closed)) <= 1e-14
 
 
+def reference_expected_block(block, n, params):
+    # the whole-block formulas: overlap counts of every pair against every
+    # pair (or singleton against pair), and the H22 diagonal filled last
+    a1, a2, a3, a4 = params.alpha
+    p = params.p
+    ix = SubsetIndexer(n)
+    if block == "H12":
+        out = np.full((n, ix.num_pairs), a3 * p * p - a1 * a2)
+        rows = np.arange(1, n + 1)[:, None]
+        out[(ix.pair_heads[None, :] == rows) | (ix.pair_tails[None, :] == rows)] = a2 - a1 * a2
+        return out
+    hi, ti = ix.pair_heads[:, None], ix.pair_tails[:, None]
+    hj, tj = ix.pair_heads[None, :], ix.pair_tails[None, :]
+    ov = (hi == hj).astype(np.int8) + (hi == tj) + (ti == hj) + (ti == tj)
+    out = np.full((ix.num_pairs, ix.num_pairs), a4 * p**4 - a2 * a2)
+    out[ov == 1] = a3 * p - a2 * a2
+    np.fill_diagonal(out, a2 - a2 * a2)
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 12, 40])
+def test_expected_rows_are_the_rows_of_the_whole_block(n):
+    pr = derive_alphas(0.05, 0.3)
+    for block in ("H12", "H22"):
+        want = reference_expected_block(block, n, pr)
+        assert expected_block(block, n, pr).tobytes() == want.tobytes()
+        rows_of = expected_rows(block, n, pr)
+        pieces = [rows_of(slice(lo, lo + 7)) for lo in range(0, len(want), 7)]
+        assert np.concatenate(pieces).tobytes() == want.tobytes()
+
+
 def test_expected_block_requires_n_at_least_five():
     with pytest.raises(ValueError):
         expected_block("H11", 4, PARAMS)
     with pytest.raises(ValueError):
         expected_block("H33", 6, PARAMS)
+    with pytest.raises(ValueError, match="n >= 5"):
+        expected_rows("H22", 4, PARAMS)
 
 
 def test_expected_h11_spectrum_closed_form():

@@ -14,11 +14,11 @@ from cliquewitness.witness import (
     _slots,
     _unions_agree,
     build_block,
-    build_h_block,
     build_matrix,
     check_sos_feasibility,
     dump_matrix,
     extract_blocks,
+    h_rows,
     load_matrix,
     MomentMatrix,
 )
@@ -136,16 +136,20 @@ def test_block_audit_rejects_another_graphs_structure():
 
 
 def test_h_blocks_are_the_blocks_of_h():
-    # bit for bit, on rows and columns that differ in size and in clique status
+    # bit for bit, on rows and columns that differ in size and in clique
+    # status, whole and in row slices that split the rows unevenly
     for g in oracle_graphs(5):
         pr = derive_alphas(0.05, g.p)
         _, h12, h22 = extract_blocks(build_matrix(g, pr, "H"))
-        assert build_h_block(g, pr, "H12").tobytes() == np.ascontiguousarray(h12).tobytes()
-        assert build_h_block(g, pr, "H22").tobytes() == np.ascontiguousarray(h22).tobytes()
+        for block, want in (("H12", h12), ("H22", h22)):
+            rows_of = h_rows(g, pr, block)
+            assert rows_of(slice(None)).tobytes() == np.ascontiguousarray(want).tobytes()
+            pieces = [rows_of(slice(lo, lo + 3)) for lo in range(0, len(want), 3)]
+            assert np.concatenate(pieces).tobytes() == np.ascontiguousarray(want).tobytes()
     with pytest.raises(ValueError):
-        build_h_block(g, pr, "H11")
+        h_rows(g, pr, "H11")
     with pytest.raises(ValueError):
-        build_h_block(g, derive_alphas(0.05, 0.3), "H22")
+        h_rows(g, derive_alphas(0.05, 0.3), "H22")
 
 
 def test_complete_graph_values():
