@@ -459,17 +459,12 @@ def kernel_identities(graph: GraphInstance, params: WitnessParams) -> KernelRepo
     )
 
 
-def projected_norm(
-    a: int,
-    x: Union[np.ndarray, ComponentMatrix],
-    b: int,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-) -> float:
-    """Spectral norm of P_a X P_b by power iteration with matrix-free projectors.
+def projected_norm(a: int, x: Union[np.ndarray, ComponentMatrix], b: int) -> float:
+    """Spectral norm of P_a X P_b: rect_operator_norm of that product as an
+    operator, with the matrix-free projectors (adjoint P_b X^T P_a).
 
-    Two deterministic restarts, max taken.  Raises on non-convergence with the
-    last relative residual in the message.
+    A composition that is an exact zero leaves only rounding noise, so a
+    norm at most 1e-13 max |X| reads 0.0.
     """
     if a not in (0, 1, 2) or b not in (0, 1, 2):
         raise ValueError(f"projector labels must be 0, 1 or 2, got ({a}, {b})")
@@ -478,45 +473,14 @@ def projected_norm(
     if vals.shape != (npairs, npairs):
         raise ValueError(f"square pairs x pairs matrix required, got {vals.shape}")
     fam = ProjectorFamily(_pairs_count(npairs))
-
-    def apply_y(v: np.ndarray) -> np.ndarray:
-        return fam.apply(a, vals @ fam.apply(b, v))
-
-    def apply_yt(v: np.ndarray) -> np.ndarray:
-        return fam.apply(b, vals.T @ fam.apply(a, v))
-
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return 0.0
-    # compositions that are exact zeros leave only rounding noise; anything
-    # this far below the entry scale is treated as a converged zero
-    floor = 1e-13 * scale
-    best = 0.0
-    for restart in range(2):
-        rng = np.random.default_rng(restart)
-        v = rng.standard_normal(npairs)
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        converged = False
-        residual = np.inf
-        for _ in range(max_iter):
-            w = apply_yt(apply_y(v))
-            nw = np.linalg.norm(w)
-            new_sigma = np.sqrt(nw)
-            if new_sigma <= floor:
-                sigma = 0.0
-                converged = True
-                break
-            residual = abs(new_sigma - sigma) / max(new_sigma, 1e-300)
-            v = w / nw
-            sigma = new_sigma
-            if residual <= tol:
-                converged = True
-                break
-        if not converged:
-            raise RuntimeError(
-                f"power iteration for ||P_{a} X P_{b}|| did not converge in "
-                f"{max_iter} iterations (last relative residual {residual:.3e})"
-            )
-        best = max(best, sigma)
-    return float(best)
+    op = LinearOperator(
+        vals.shape,
+        matvec=lambda v: fam.apply(a, vals @ fam.apply(b, v)),
+        rmatvec=lambda v: fam.apply(b, vals.T @ fam.apply(a, v)),
+        dtype=np.float64,
+    )
+    sigma = rect_operator_norm(op)
+    return 0.0 if sigma <= 1e-13 * scale else sigma

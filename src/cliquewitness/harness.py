@@ -572,15 +572,17 @@ def check_records(config: ExperimentConfig, records: Sequence[ResultRecord]) -> 
         )
     if config.experiment == "detection":
         mode = str(config.extras.get("test", "submatrix"))
-        if mode == "submatrix":
-            frac = _aggregate(records, config.n_grid[0], "exceed_fraction")
+
+        def passes(n: int) -> bool:
+            if mode == "comb":
+                h0 = _aggregate(records, n, "h0_fraction")
+                h1 = _aggregate(records, n, "h1_fraction")
+                return h0 is not None and h1 is not None and h1 >= 0.9 and h0 <= 0.1
+            name = "exceed_fraction" if mode == "submatrix" else "verdict_fraction"
+            frac = _aggregate(records, n, name)
             return frac is not None and frac >= 0.9
-        if mode == "comb":
-            h0 = _aggregate(records, config.n_grid[0], "h0_fraction")
-            h1 = _aggregate(records, config.n_grid[0], "h1_fraction")
-            return h0 is not None and h1 is not None and h1 >= 0.9 and h0 <= 0.1
-        frac = _aggregate(records, config.n_grid[0], "verdict_fraction")
-        return frac is not None and frac >= 0.9
+
+        return all(passes(n) for n in config.n_grid)
     if config.experiment == "w_conditions":
         return all(
             _aggregate(records, n, "all_positive") == 1.0 for n in config.n_grid

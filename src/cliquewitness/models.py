@@ -56,9 +56,9 @@ def _symmetric_from_pairs(n: int, indexer: SubsetIndexer, values: np.ndarray) ->
 class GraphInstance:
     """An n-vertex graph with edge probability p and optional planted set.
 
-    Adjacency is stored as a packed bit matrix; the boolean view and the
-    centered variables g_ij = edge_ij - p (g_ii = 0) are materialized lazily
-    and cached.
+    `adjacency` is the symmetric boolean edge matrix with a zero diagonal;
+    the centered variables g_ij = edge_ij - p (g_ii = 0) are materialized
+    lazily and cached.
     """
 
     def __init__(
@@ -93,8 +93,7 @@ class GraphInstance:
         self.p = float(p)
         self.planted = planted
         self.seed = int(seed)
-        self._packed = np.packbits(adj, axis=None)
-        self._adjacency: Optional[np.ndarray] = None
+        self.adjacency = adj
         self._centered: Optional[np.ndarray] = None
 
     @classmethod
@@ -113,14 +112,6 @@ class GraphInstance:
             adj[i - 1, j - 1] = True
             adj[j - 1, i - 1] = True
         return cls(n, p, adj, planted=planted, seed=seed)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Symmetric boolean edge matrix with a zero diagonal."""
-        if self._adjacency is None:
-            bits = np.unpackbits(self._packed, count=self.n * self.n)
-            self._adjacency = bits.reshape(self.n, self.n).astype(bool)
-        return self._adjacency
 
     @property
     def centered(self) -> np.ndarray:

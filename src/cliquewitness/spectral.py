@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, fsum, log, sqrt
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh, get_lapack_funcs
@@ -276,7 +276,8 @@ def _max_asymmetry(x: np.ndarray) -> float:
     worst = 0.0
     for lo in range(0, x.shape[0], _SYM_BLOCK):
         rows = slice(lo, lo + _SYM_BLOCK)
-        gap = np.abs(x[rows, lo:] - x[lo:, rows].T)
+        with np.errstate(invalid="ignore"):  # inf - inf is the NaN we report
+            gap = np.abs(x[rows, lo:] - x[lo:, rows].T)
         worst = float(np.maximum(worst, gap.max()))
     return worst
 
@@ -385,34 +386,32 @@ def certified_factorization(a: np.ndarray, tol: float, asym_term: float = 0.0) -
 # ----------------------------------------------------------------------
 
 
-def sym_operator_norm(op, dim: Optional[int] = None,
-                      tol: float = 1e-6, seed: int = 0) -> float:
-    """Spectral norm of a symmetric operator (matrix, LinearOperator or matvec)."""
+def sym_operator_norm(op: Union[np.ndarray, LinearOperator]) -> float:
+    """Spectral norm of a symmetric matrix or LinearOperator.
+
+    A matrix of at most _DENSE_EIG_CUTOFF rows goes to eigvalsh.  Otherwise
+    ARPACK runs to tol 1e-6 from the start vector of seed 0, then of
+    seeds 1 and 2 if it does not converge, and raises RuntimeError after
+    the third.  An operator that sends two random unit vectors to zero has
+    norm 0.0.
+    """
     if isinstance(op, np.ndarray):
         if op.shape[0] <= _DENSE_EIG_CUTOFF:
             return float(np.max(np.abs(eigvalsh(op))))
-        matvec: Callable[[np.ndarray], np.ndarray] = op.__matmul__
-        dim = op.shape[0]
-    elif isinstance(op, LinearOperator):
-        matvec = lambda v: op @ v  # noqa: E731
-        dim = op.shape[0]
-    else:
-        matvec = op
-        if dim is None:
-            raise ValueError("dim is required when passing a bare matvec")
-    rng = np.random.default_rng(seed)
+        op = LinearOperator(op.shape, matvec=op.__matmul__, dtype=float)
+    dim = op.shape[0]
+    rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim)
-    probe = matvec(v0 / np.linalg.norm(v0))
+    probe = op @ (v0 / np.linalg.norm(v0))
     if float(np.linalg.norm(probe)) == 0.0:
         w = rng.standard_normal(dim)
-        if float(np.linalg.norm(matvec(w / np.linalg.norm(w)))) == 0.0:
+        if float(np.linalg.norm(op @ (w / np.linalg.norm(w)))) == 0.0:
             return 0.0
-    lo = LinearOperator((dim, dim), matvec=matvec, dtype=float)
     last_err: Optional[Exception] = None
-    for attempt in range(3):
-        v0 = np.random.default_rng(seed + attempt).standard_normal(dim)
+    for seed in range(3):
+        v0 = np.random.default_rng(seed).standard_normal(dim)
         try:
-            vals = eigsh(lo, k=1, which="LM", v0=v0, tol=tol,
+            vals = eigsh(op, k=1, which="LM", v0=v0, tol=1e-6,
                          return_eigenvectors=False)
             return float(abs(vals[0]))
         except ArpackNoConvergence as err:  # retry with a fresh start vector
@@ -420,10 +419,13 @@ def sym_operator_norm(op, dim: Optional[int] = None,
     raise RuntimeError(f"operator norm did not converge after 3 starts: {last_err}")
 
 
-def rect_operator_norm(op, rmatvec: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                       shape: Optional[Tuple[int, int]] = None, tol: float = 1e-6,
-                       seed: int = 0) -> float:
-    """Largest singular value via the symmetric operator A^T A."""
+def rect_operator_norm(op: Union[np.ndarray, LinearOperator]) -> float:
+    """Largest singular value of a matrix or LinearOperator (with rmatvec).
+
+    A matrix with no side above _DENSE_EIG_CUTOFF goes to the dense 2-norm,
+    one with a side at most the cutoff to eigvalsh of its Gram matrix on
+    that side.  Otherwise sym_operator_norm of A^T A, as an operator.
+    """
     if isinstance(op, np.ndarray):
         if max(op.shape) <= _DENSE_EIG_CUTOFF:
             return float(np.linalg.norm(op, 2))
@@ -432,24 +434,12 @@ def rect_operator_norm(op, rmatvec: Optional[Callable[[np.ndarray], np.ndarray]]
             small = op @ op.T if op.shape[0] <= op.shape[1] else op.T @ op
             top = float(eigvalsh(small, check_finite=False)[-1])
             return sqrt(max(top, 0.0))
-        matvec: Callable[[np.ndarray], np.ndarray] = op.__matmul__
-        rmatvec = op.T.__matmul__
-        shape = op.shape
-    elif isinstance(op, LinearOperator):
-        matvec = lambda v: op @ v  # noqa: E731
-        rmatvec = op.rmatvec
-        shape = op.shape
-    else:
-        matvec = op
-        if rmatvec is None or shape is None:
-            raise ValueError("rmatvec and shape are required with a bare matvec")
-    cols = shape[1]
-
-    def gram(v: np.ndarray) -> np.ndarray:
-        return rmatvec(matvec(v))
-
-    sq = sym_operator_norm(gram, cols, tol=tol, seed=seed)
-    return sqrt(max(sq, 0.0))
+        op = LinearOperator(op.shape, matvec=op.__matmul__, rmatvec=op.T.__matmul__,
+                            dtype=float)
+    cols = op.shape[1]
+    gram = LinearOperator((cols, cols), matvec=lambda v: op.rmatvec(op.matvec(v)),
+                          dtype=float)
+    return sqrt(max(sym_operator_norm(gram), 0.0))
 
 
 # ----------------------------------------------------------------------

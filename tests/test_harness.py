@@ -308,6 +308,24 @@ def test_check_records_norm_scaling_fails_on_nan_medians():
     assert check_records(cfg, [norm_record(12, float("nan")), norm_record(30, 1.0)]) is False
 
 
+def detection_record(n, **aggregates):
+    return ResultRecord(experiment="detection", n=n, p=0.5, kappa=0.01, per_seed=(),
+                        aggregates=tuple(aggregates.items()), wall_clock=0.0)
+
+
+@pytest.mark.parametrize("mode, good, bad", [
+    ("submatrix", {"exceed_fraction": 1.0}, {"exceed_fraction": 0.5}),
+    ("clique", {"verdict_fraction": 1.0}, {"verdict_fraction": 0.5}),
+    ("comb", {"h0_fraction": 0.0, "h1_fraction": 1.0},
+     {"h0_fraction": 0.3, "h1_fraction": 1.0}),
+])
+def test_check_records_detection_reads_every_grid_point(mode, good, bad):
+    cfg = ExperimentConfig(experiment="detection", n_grid=(30, 60), extras={"test": mode})
+    assert check_records(cfg, [detection_record(30, **good), detection_record(60, **good)]) is True
+    assert check_records(cfg, [detection_record(30, **good), detection_record(60, **bad)]) is False
+    assert check_records(cfg, [detection_record(30, **good)]) is False
+
+
 def frontier_record(n, kappa_star, slope=None):
     aggregates = []
     if kappa_star is not None:
