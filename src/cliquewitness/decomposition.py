@@ -16,7 +16,7 @@ deviation minus the component sum is floating-point zero, which pins down the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -83,8 +83,12 @@ _L_EDGES = {(1, 1): ("hh",), (1, 2): ("ht",), (2, 1): ("hh", "ht")}
 # the four codes, each with the code that swaps both ends
 _FLIP = {"hh": "tt", "ht": "th", "th": "ht", "tt": "hh"}
 
-# rows per block of _component_blocks; every temporary is block x C(n, 2)
+# a block of _component_blocks takes as many rows, at most
+# _COMPONENT_ROW_CHUNK and at least one, as fit _BLOCK_BYTES of float64 over
+# its columns and batch axes: the 64-row H22 block at n = 40 is one budget,
+# so every block at n <= 40 has 64 rows, and L(2,1) at n = 141 has 5
 _COMPONENT_ROW_CHUNK = 64
+_BLOCK_BYTES = 64 * comb(40, 2) * 8
 
 
 @dataclass(frozen=True)
@@ -173,8 +177,10 @@ def _component_blocks(
 ) -> Iterator[Tuple[slice, List[np.ndarray]]]:
     """Row blocks of several components of one row set, built together.
 
-    Yields, per _COMPONENT_ROW_CHUNK rows, the row slice and each kind's
-    block (block rows, columns, *batch) scaled by its pref, in kinds order.
+    Yields, per block of rows (see _BLOCK_BYTES), the row slice and each
+    kind's block (block rows, columns, *batch) scaled by its pref, in kinds
+    order.  Every entry is computed elementwise, so the values do not depend
+    on the blocking.
     The kinds must share a row set: pairs for K, J and Jtilde, singletons
     for L.
 
@@ -188,8 +194,8 @@ def _component_blocks(
     end-equality masks once, and all kinds read them.
     """
     n = g.shape[0]
-    ix = SubsetIndexer(n)
-    cols = {"h": ix.pair_heads - 1, "t": ix.pair_tails - 1}
+    # the pair columns in SubsetIndexer order, with no indexer held
+    cols = dict(zip("ht", np.triu_indices(n, 1)))
     singleton = {kind.family == "L" for kind in kinds}
     if len(singleton) != 1:
         raise ValueError("kinds must share one row set: singletons for L, pairs for the others")
@@ -204,7 +210,7 @@ def _component_blocks(
         plan.append((codes, kind.family == "J" or (kind.family == "L" and kind.eta == 1), pref))
     overlaps_needed = any(codes is None or masked for codes, masked, _ in plan)
     # each gathered code and the last kind to read it: when that kind reads
-    # it first, it takes the gather itself instead of a copy
+    # it first, it takes the gather itself as its product
     last = {code: i for i, (codes, _, _) in enumerate(plan) for code in codes or ()}
 
     def row_block(rows: slice) -> List[np.ndarray]:
@@ -224,7 +230,12 @@ def _component_blocks(
                     out[r, c] += g[ends_at[u][r], cols[v][c]]
             else:
                 first, *rest = codes
-                out = edges.pop(first) if last[first] == i else edges[first].copy()
+                if last[first] == i:
+                    out = edges.pop(first)
+                elif rest:  # the first product is the new array
+                    out = np.multiply(edges[first], edges[rest.pop(0)])
+                else:
+                    out = edges[first].copy()
                 for code in rest:
                     out *= edges[code]
                 if masked:
@@ -234,8 +245,10 @@ def _component_blocks(
             blocks.append(out)
         return blocks
 
-    for start in range(0, ends["h"].size, _COMPONENT_ROW_CHUNK):
-        rows = slice(start, start + _COMPONENT_ROW_CHUNK)
+    row_bytes = 8 * cols["h"].size * prod(g.shape[2:])
+    step = max(1, min(_COMPONENT_ROW_CHUNK, _BLOCK_BYTES // max(row_bytes, 1)))
+    for start in range(0, ends["h"].size, step):
+        rows = slice(start, start + step)
         yield rows, row_block(rows)
 
 

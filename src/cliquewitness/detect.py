@@ -17,7 +17,6 @@ from math import comb, exp, pi, sqrt
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .models import GaussianInstance, GraphInstance
 from .params import derive_alphas
@@ -57,6 +56,8 @@ class TestConfig:
         """P(N(0,1) >= lambda), the density of the thresholded graph."""
         if self.lambda_thresh is None:
             raise ValueError("lambda_thresh is not set")
+        from scipy.special import ndtr  # loaded on first use, not at package import
+
         return float(ndtr(-self.lambda_thresh))
 
     def threshold_density(self) -> float:

@@ -453,6 +453,7 @@ def _trace_by_labelings(
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     rows = list(range(1, n + 1)) if kind.family == "L" else pairs
     beta = _prefactor(kind, params)
+    entry = {(row, col): _entry_edges(kind, row, col) for row in rows for col in pairs}
     total = 0.0
     for cols in itertools.product(pairs, repeat=m):
         for rws in itertools.product(rows, repeat=m):
@@ -460,7 +461,7 @@ def _trace_by_labelings(
             dead = False
             for l in range(m):
                 for col in (cols[l], cols[(l + 1) % m]):
-                    edges = _entry_edges(kind, rws[l], col)
+                    edges = entry[rws[l], col]
                     if edges is None:
                         dead = True
                         break

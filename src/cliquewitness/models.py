@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .subsets import SubsetIndexer
 
@@ -204,6 +203,8 @@ def sample_gaussian(
         raise ValueError(f"planted mean must be nonnegative, got {mu}")
     indexer = SubsetIndexer(n)
     u = _interior_uniform(_generator(seed, _TAG_GAUSS), indexer.num_pairs)
+    from scipy.special import ndtri  # loaded on first use, not at package import
+
     base = ndtri(u)
     planted: Optional[FrozenSet[int]] = None
     if hypothesis == "H1":

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from cliquewitness import decomposition
 from cliquewitness.decomposition import (
+    _BLOCK_BYTES,
     _COMPONENT_ROW_CHUNK,
     _DENSE_COMPONENT_LIMIT,
     _PAIR_CHUNK,
@@ -452,10 +453,10 @@ def test_expansion_h22_builds_each_component_once(monkeypatch):
 
 def test_expansion_h22_holds_no_whole_component():
     # the residual is taken one engine row block at a time, so the peak is
-    # the 24 component blocks of 64 rows: 2.1 pair blocks at n = 40 and 0.93
-    # at n = 60.  Holding the whole target and reconstruction read 4.1 and
-    # 3.0, and reconstructing from whole components 13.1 at n = 40
-    for n, bound in ((40, 2.5), (60, 1.2)):
+    # the 24 component blocks of at most _BLOCK_BYTES: 2.1 pair blocks at
+    # n = 40 and 0.41 at n = 60.  Holding the whole target and reconstruction
+    # read 4.1 and 3.0, and reconstructing from whole components 13.1 at n = 40
+    for n, bound in ((40, 2.5), (60, 0.5)):
         g = sample_er(n, 0.5, seed=0)
         pair_block = SubsetIndexer(n).num_pairs ** 2 * 8
         verify_expansion_H22(g, PARAMS)  # warm caches outside the trace
@@ -474,15 +475,52 @@ def test_expansion_h12_builds_no_pair_block():
 
 
 def test_one_kind_build_holds_two_row_blocks():
-    # L(2,1) at n=141: three row blocks of singletons.  Beyond the result the
-    # build holds the two gathers of one block; the product takes the first
-    # gather without a copy, and the last block is gone before the next
+    # L(2,1) at n=141: 5-row blocks of singletons.  Beyond the result the
+    # build holds the two gathers of one block, each within _BLOCK_BYTES;
+    # the product takes the first gather without a copy, and the last block
+    # is gone before the next
     n = 141
     g = sample_er(n, 0.5, seed=1)
-    npairs = SubsetIndexer(n).num_pairs
-    full, row_block = n * npairs * 8, _COMPONENT_ROW_CHUNK * npairs * 8
+    full = n * SubsetIndexer(n).num_pairs * 8
     peak = traced_peak(component_values, g.centered, ComponentKind("L", 2, 1), 1.0)
-    assert peak < full + 2.5 * row_block, (peak - full) / row_block
+    assert peak < full + 2.5 * _BLOCK_BYTES, (peak - full) / _BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n, graphs, kind, rows", [
+    (141, 1, ComponentKind("L", 2, 1), 5),
+    (5, 1024, ComponentKind("L", 2, 1), 4),
+    (5, 1024, ComponentKind("J", 2, 1), 4),
+    (40, 1, ComponentKind("K"), _COMPONENT_ROW_CHUNK),
+])
+def test_row_blocks_fit_the_byte_budget(n, graphs, kind, rows):
+    # a wide row, over many columns or many stacked graphs, takes fewer rows
+    # than _COMPONENT_ROW_CHUNK; a pair block at n <= 40 keeps them all
+    g = sample_er(n, 0.5, seed=2).centered
+    g = np.repeat(g[..., None], graphs, axis=-1) if graphs > 1 else g
+    sizes = []
+    for _, (block,) in decomposition._component_blocks(g, [kind], [1.0]):
+        assert block.nbytes <= _BLOCK_BYTES, (block.shape, block.nbytes)
+        sizes.append(len(block))
+    assert sizes[0] == rows
+    assert sum(sizes) == (n if kind.family == "L" else SubsetIndexer(n).num_pairs)
+
+
+def test_j41_norm_reuses_the_zero_probe():
+    # the zero probe's product is ARPACK's first: one application fewer than
+    # probing and then running ARPACK, with the same norm
+    g = sample_er(100, 0.5, seed=0)
+    op = component_operator(g, PARAMS, ComponentKind("J", 4, 1))
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return op.matvec(v)
+
+    got = sym_operator_norm(LinearOperator(op.shape, matvec=counted, dtype=np.float64))
+    assert len(calls) == 151
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    want = abs(eigsh(op, k=1, which="LM", v0=v0, tol=1e-6, return_eigenvectors=False)[0])
+    assert repr(got) == repr(float(want))
 
 
 def test_engine_blocks_match_one_kind_builds():

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,6 +214,25 @@ def test_detection_cli_bytes_pinned(name, tmp_path, capsys):
     assert main(["--config", str(path)]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def test_scipy_special_loads_only_for_detection():
+    # Gaussian sampling and the detection threshold import scipy.special
+    # where they call it; the package import and a norm run never load it
+    script = """
+import sys
+from cliquewitness.harness import ExperimentConfig, run
+run(ExperimentConfig(experiment="norm_scaling", n_grid=(12,), trials=1))
+print("scipy.special" in sys.modules)
+run(ExperimentConfig(experiment="detection", n_grid=(30,), trials=1, kappa_rule="fixed",
+                     kappa=0.002, extras={"test": "submatrix", "k": 6.0}))
+print("scipy.special" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(cliquewitness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_run_and_emit_are_deterministic():
