@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .models import GraphInstance
 from .params import WitnessParams
@@ -36,6 +35,9 @@ from .witness import h_rows
 # build_matrix is no longer called here; it stays bound because the traced
 # benchmark (perfbench/spans.py) wraps decomposition.build_matrix by name
 from .witness import build_matrix  # noqa: F401
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "ComponentKind",
@@ -281,6 +283,8 @@ def component_operator(
     single components have no operator; the class-1 relaxed sum has its own
     below.
     """
+    from scipy.sparse.linalg import LinearOperator  # loaded on first use, not at package import
+
     ix = SubsetIndexer(graph.n)
     g = graph.centered
     hi = ix.pair_heads - 1
@@ -318,6 +322,8 @@ def component_operator(
 
 def class1_sum_operator(graph: GraphInstance, params: WitnessParams) -> LinearOperator:
     """Matrix-free sum of the four class-1 relaxed components."""
+    from scipy.sparse.linalg import LinearOperator  # loaded on first use, not at package import
+
     ix = SubsetIndexer(graph.n)
     g = graph.centered
     hi = ix.pair_heads - 1
@@ -489,6 +495,8 @@ def projected_norm(a: int, x: Union[np.ndarray, ComponentMatrix], b: int) -> flo
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return 0.0
+    from scipy.sparse.linalg import LinearOperator  # loaded on first use, not at package import
+
     op = LinearOperator(
         vals.shape,
         matvec=lambda v: fam.apply(a, vals @ fam.apply(b, v)),

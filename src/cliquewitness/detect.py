@@ -105,7 +105,7 @@ def clique_lower_bound(graph: GraphInstance, kappa: float) -> Tuple[float, bool]
     (0.0, False) when the witness is infeasible (no certificate).
     """
     params = derive_alphas(kappa, graph.p)
-    feasible = check_sos_feasibility(build_block(graph, params), graph).feasible
+    feasible = check_sos_feasibility(build_block(graph, params), graph, in_place=True).feasible
     return (graph.n * kappa if feasible else 0.0, feasible)
 
 
@@ -151,7 +151,8 @@ def test_submatrix(
     graph = GraphInstance(instance.n, p, adjacency)
     params = derive_alphas(config.kappa, p)
     witness = scale_witness(build_block(graph, params), config.scaling)
-    feasible = check_sos_feasibility(witness, graph).feasible
+    # the witness's values are not read again, so the audit may factor them
+    feasible = check_sos_feasibility(witness, graph, in_place=True).feasible
     trace = float(config.scaling * instance.n * config.kappa)
     ix = witness.indexer
     heads, tails = ix.pair_heads - 1, ix.pair_tails - 1

@@ -322,6 +322,9 @@ def _contributing(primitive: PrimitiveGraph) -> Tuple[LabelingPartition, ...]:
                 hits[k] -= 1
 
     descend(0, 0, 0)
+    # descend's closure holds descend itself: without this the cycle keeps
+    # `out` and its partitions alive past the cache's eviction, until a gc pass
+    del descend
     return tuple(out)
 
 

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, fsum, log, sqrt
-from typing import Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh, get_lapack_funcs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .params import WitnessParams
 from .subsets import SubsetIndexer
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 _DENSE_EIG_CUTOFF = 600
 _COND_GUARD = 1e12
@@ -396,6 +398,9 @@ def sym_operator_norm(op: Union[np.ndarray, LinearOperator]) -> float:
     norm 0.0; the first probe is on the seed-0 start vector, and ARPACK
     reuses it for its first product there.
     """
+    # loaded on first use, not at package import
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     if isinstance(op, np.ndarray):
         if op.shape[0] <= _DENSE_EIG_CUTOFF:
             return float(np.max(np.abs(eigvalsh(op))))
@@ -437,6 +442,8 @@ def rect_operator_norm(op: Union[np.ndarray, LinearOperator]) -> float:
     one with a side at most the cutoff to eigvalsh of its Gram matrix on
     that side.  Otherwise sym_operator_norm of A^T A, as an operator.
     """
+    from scipy.sparse.linalg import LinearOperator  # loaded on first use, not at package import
+
     if isinstance(op, np.ndarray):
         if max(op.shape) <= _DENSE_EIG_CUTOFF:
             return float(np.linalg.norm(op, 2))

@@ -412,7 +412,7 @@ def block_psd_check(values: np.ndarray, tol: float, exact: bool,
 
 
 def check_sos_feasibility(
-    mat: MomentMatrix, graph: GraphInstance, tol: float = 1e-8
+    mat: MomentMatrix, graph: GraphInstance, tol: float = 1e-8, in_place: bool = False
 ) -> FeasibilityReport:
     """Verify the degree-4 pseudo-moment constraints on a kind-M matrix.
 
@@ -431,7 +431,9 @@ def check_sos_feasibility(
     the unions of those entries.  A block form's support and PSD verdict
     come from its CliqueStructure, which must be the graph's (ValueError
     otherwise), and block_psd_check; a dense matrix's support is derived
-    here and its verdict is psd_check's.
+    here and its verdict is psd_check's.  With `in_place` the block
+    verdict may factor mat.values of a block form in place, so pass it only
+    when the witness is not read again; a dense matrix is never overwritten.
     """
     if mat.kind != "M":
         raise ValueError(f"feasibility checks apply to kind 'M', got {mat.kind}")
@@ -463,16 +465,19 @@ def check_sos_feasibility(
             union_ok = _unions_agree(region, slots, unions)
     del off_support  # a mask the size of the block, not needed by the factorization
 
+    # read before the factorization, which may overwrite region
+    empty_is_one = bool(region[0, 0] == 1.0)
+    objective = mat.objective()
     # rows left out of region vanish; entries in range are finite
     exact = mat.structure is not None and symmetric and in_range
-    psd_report = block_psd_check(region, tol, exact)
+    psd_report = block_psd_check(region, tol, exact, in_place=in_place)
     return FeasibilityReport(
-        empty_entry_is_one=bool(region[0, 0] == 1.0),
+        empty_entry_is_one=empty_is_one,
         entries_in_range=in_range,
         vanishes_off_cliques=stray == 0,
         union_symmetric=union_ok,
         psd=psd_report.psd,
-        objective=mat.objective(),
+        objective=objective,
         psd_report=psd_report,
         tolerance=tol,
     )

@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
-
-from cliquewitness import spectral
+import scipy.sparse.linalg
 
 
 @pytest.fixture
 def arpack_stub(monkeypatch):
-    """A function of `failures` that makes spectral.eigsh raise
-    ArpackNoConvergence on its first `failures` calls; it returns a record
-    of each call's start vector and each returned value."""
+    """A function of `failures` that makes scipy.sparse.linalg.eigsh, the
+    name the norm estimators import at each call, raise ArpackNoConvergence
+    on its first `failures` calls; it returns a record of each call's start
+    vector and each returned value."""
 
     def install(failures):
         calls = {"v0": [], "vals": []}
-        real = spectral.eigsh
+        real = scipy.sparse.linalg.eigsh
 
         def eigsh(*args, **kwargs):
             calls["v0"].append(kwargs["v0"].copy())
             if len(calls["v0"]) <= failures:
-                raise spectral.ArpackNoConvergence("stub: no convergence",
-                                                   np.empty(0), np.empty((0, 0)))
+                raise scipy.sparse.linalg.ArpackNoConvergence(
+                    "stub: no convergence", np.empty(0), np.empty((0, 0)))
             vals = real(*args, **kwargs)
             calls["vals"].append(vals)
             return vals
 
-        monkeypatch.setattr(spectral, "eigsh", eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
         return calls
 
     return install

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,57 @@ def test_block_and_dense_feasibility_reports_equal(planted):
                 block = scale_witness(build_block(g, params), scaling)
                 dense = scale_witness(build_matrix(g, params, "M"), scaling)
                 assert check_sos_feasibility(block, g) == check_sos_feasibility(dense, g)
+
+
+def test_in_place_feasibility_matches_default():
+    # field by field, certified_min_eig to the bit, PSD or not, scaled or not;
+    # the default leaves the witness as it was, in_place factors it
+    graphs = [sample_er(n, 0.5, seed=seed) for n in (12, 20, 30) for seed in range(2)]
+    graphs.append(sample_planted(20, 0.5, 6, seed=0))
+    seen = set()
+    for g in graphs:
+        for kappa in (window_kappa(g.n), 0.05):
+            params = derive_alphas(kappa, 0.5)
+            for scaling in (1.0, 0.5):
+                mat = scale_witness(build_block(g, params), scaling)
+                before = mat.values.tobytes()
+                want = check_sos_feasibility(mat, g)
+                assert mat.values.tobytes() == before
+                got = check_sos_feasibility(mat, g, in_place=True)
+                assert mat.values.tobytes() != before
+                assert got.psd_report == want.psd_report
+                bits = [None if r.psd_report.certified_min_eig is None
+                        else r.psd_report.certified_min_eig.hex() for r in (got, want)]
+                assert bits[0] == bits[1]
+                assert got.objective.hex() == want.objective.hex()
+                assert got.empty_entry_is_one == want.empty_entry_is_one
+                assert got == want
+                seen.add(want.psd)
+    assert seen == {False, True}
+
+
+def test_submatrix_factors_its_witness_in_place(monkeypatch):
+    # the fill and its factorization share one dim^2 float block; a copy for
+    # the factorization would take the peak past 2 dim^2 floats
+    dims = []
+    real = detect.build_block
+
+    def recording(graph, params):
+        mat = real(graph, params)
+        dims.append(mat.values.shape[0])
+        return mat
+
+    monkeypatch.setattr(detect, "build_block", recording)
+    inst = sample_gaussian(90, 0.0, None, "H0", 10000)
+    cfg = DetectConfig(kappa=criterion9_kappa(90))
+    submatrix_test(inst, cfg, 6.0, 1e-4)  # the warm-up keeps one-time allocations out
+    tracemalloc.start()
+    try:
+        assert submatrix_test(inst, cfg, 6.0, 1e-4).feasibility
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * dims[-1] ** 2 * 8, (peak, dims[-1])
 
 
 def test_detection_never_builds_dense_witness(monkeypatch):

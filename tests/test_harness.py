@@ -186,7 +186,8 @@ def test_frontier_builds_one_code_table_per_graph(monkeypatch):
 
 
 # sha256 of the detection CSVs these configs printed before the block form
-# of the witness; the block route must reproduce them byte for byte
+# of the witness; the block route must reproduce them byte for byte.  They
+# hold with OpenBLAS at one thread and at two (the default on 2 vCPUs)
 DETECTION_PINS = {
     "submatrix_feasible": (
         {"n_grid": [30], "trials": 3, "kappa_rule": "fixed", "kappa": 0.002,
@@ -216,6 +217,15 @@ def test_detection_cli_bytes_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
+def run_python(args, **env):
+    # stdout of a fresh interpreter that imports this checkout's package
+    src = os.path.dirname(os.path.dirname(cliquewitness.__file__))
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
 def test_scipy_special_loads_only_for_detection():
     # Gaussian sampling and the detection threshold import scipy.special
     # where they call it; the package import and a norm run never load it
@@ -228,11 +238,40 @@ run(ExperimentConfig(experiment="detection", n_grid=(30,), trials=1, kappa_rule=
                      kappa=0.002, extras={"test": "submatrix", "k": 6.0}))
 print("scipy.special" in sys.modules)
 """
-    src = os.path.dirname(os.path.dirname(cliquewitness.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.split() == ["False", "True"]
+    assert run_python(["-c", script]).split() == ["False", "True"]
+
+
+def test_scipy_sparse_loads_only_for_norms():
+    # the ARPACK norm estimators and operators import scipy.sparse where they
+    # are called; the package import and the witness runs never load it
+    script = """
+import sys
+import cliquewitness
+from cliquewitness.harness import ExperimentConfig, run
+run(ExperimentConfig(experiment="psd_frontier", n_grid=(12,), trials=3,
+                     kappa_rule="binary_search"))
+run(ExperimentConfig(experiment="detection", n_grid=(30,), trials=1, kappa_rule="fixed",
+                     kappa=0.002, extras={"test": "submatrix", "k": 6.0}))
+run(ExperimentConfig(experiment="expansion_identities", n_grid=(15,), trials=1))
+run(ExperimentConfig(experiment="labeling_audit", n_grid=()))
+print("scipy.sparse" in sys.modules)
+run(ExperimentConfig(experiment="norm_scaling", n_grid=(12,), trials=1))
+print("scipy.sparse" in sys.modules)
+"""
+    assert run_python(["-c", script]).split() == ["False", "True"]
+
+
+def test_norm_scaling_across_blas_thread_counts():
+    # the ratios' last bits depend on the BLAS thread count; the records and
+    # the ratios to 1e-12 relative do not
+    argv = ["-m", "cliquewitness", "--experiment", "norm_scaling", "--n", "30", "--n", "50",
+            "--n", "100", "--trials", "2", "--c0", "0.25"]
+    one, two = (list(csv.reader(io.StringIO(run_python(argv, OPENBLAS_NUM_THREADS=t))))
+                for t in ("1", "2"))
+    assert one[0] == two[0] and len(one) == len(two) == 37
+    for a, b in zip(one[1:], two[1:]):
+        assert a[:6] == b[:6] and "ratio" in a[5]
+        assert abs(float(a[6]) - float(b[6])) <= 1e-12 * abs(float(a[6])), (a, b)
 
 
 def test_run_and_emit_are_deterministic():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -168,6 +170,19 @@ def test_pruned_enumeration_equals_leaf_only_reference():
     for prim in prims:
         assert tuple(enumerate_contributing(prim)) == reference_contributing(prim), (
             prim.kind, prim.m, prim.eta, prim.nu)
+
+
+def test_evicted_enumeration_is_freed_without_the_collector():
+    # the cache holds one enumeration; the one it evicts must go at once
+    gc.disable()
+    try:
+        parts = enumerate_contributing(build_primitive("ribbon", 2, 1, 4))
+        ref = weakref.ref(parts[0])
+        del parts
+        enumerate_contributing(build_primitive("cycle", 4))
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_contributing_partitions_are_acyclic_and_couple_strict():
