@@ -196,8 +196,7 @@ def _component_blocks(
     end-equality masks once, and all kinds read them.
     """
     n = g.shape[0]
-    # the pair columns in SubsetIndexer order, with no indexer held
-    cols = dict(zip("ht", np.triu_indices(n, 1)))
+    cols = dict(zip("ht", SubsetIndexer(n).pair_ends))
     singleton = {kind.family == "L" for kind in kinds}
     if len(singleton) != 1:
         raise ValueError("kinds must share one row set: singletons for L, pairs for the others")
@@ -264,13 +263,6 @@ def _component_blocks(
 _PAIR_CHUNK = 2048
 
 
-def _pair_lift(v: np.ndarray, hi: np.ndarray, ti: np.ndarray, n: int) -> np.ndarray:
-    V = np.zeros((n, n))
-    V[hi, ti] = v
-    V[ti, hi] = v
-    return V
-
-
 def component_operator(
     graph: GraphInstance, params: WitnessParams, kind: ComponentKind
 ) -> LinearOperator:
@@ -287,8 +279,7 @@ def component_operator(
 
     ix = SubsetIndexer(graph.n)
     g = graph.centered
-    hi = ix.pair_heads - 1
-    ti = ix.pair_tails - 1
+    hi, ti = ix.pair_ends
     n = graph.n
     npairs = ix.num_pairs
 
@@ -296,7 +287,7 @@ def component_operator(
         a3 = params.alpha3
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            V = _pair_lift(np.asarray(v).ravel(), hi, ti, n)
+            V = ix.lift(np.asarray(v).ravel())
             W = V @ g
             return a3 * (W + W.T)[hi, ti]
 
@@ -326,8 +317,7 @@ def class1_sum_operator(graph: GraphInstance, params: WitnessParams) -> LinearOp
 
     ix = SubsetIndexer(graph.n)
     g = graph.centered
-    hi = ix.pair_heads - 1
-    ti = ix.pair_tails - 1
+    hi, ti = ix.pair_ends
     n = graph.n
     npairs = ix.num_pairs
     scale = params.alpha4 * params.p ** 3

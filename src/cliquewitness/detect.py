@@ -92,9 +92,14 @@ def scale_witness(mat: MomentMatrix, scaling: float) -> MomentMatrix:
     if scaling == 1.0 and mat.values[0, 0] == 1.0:
         # already s*X + (1-s)*e0 e0^T; a copy would double the dense witness
         return mat
-    values = scaling * mat.values
+    return replace(mat, values=_rescale(mat.values.copy(), scaling))
+
+
+def _rescale(values: np.ndarray, scaling: float) -> np.ndarray:
+    """values overwritten with scaling * values, then a 1 at the empty-set entry."""
+    values *= scaling
     values[0, 0] = 1.0
-    return replace(mat, values=values)
+    return values
 
 
 def clique_lower_bound(graph: GraphInstance, kappa: float) -> Tuple[float, bool]:
@@ -150,16 +155,17 @@ def test_submatrix(
     np.fill_diagonal(adjacency, False)
     graph = GraphInstance(instance.n, p, adjacency)
     params = derive_alphas(config.kappa, p)
-    witness = scale_witness(build_block(graph, params), config.scaling)
-    # the witness's values are not read again, so the audit may factor them
+    witness = build_block(graph, params)
+    # the fill is this test's own, so it is scaled in place, and its values
+    # are not read again, so the audit may factor them
+    _rescale(witness.values, config.scaling)
     feasible = check_sos_feasibility(witness, graph, in_place=True).feasible
     trace = float(config.scaling * instance.n * config.kappa)
     ix = witness.indexer
-    heads, tails = ix.pair_heads - 1, ix.pair_tails - 1
     weighted = float(
         config.scaling
         * params.alpha2
-        * np.sum(instance.A[heads, tails] * graph.pair_indicators(ix))
+        * np.sum(instance.A[ix.pair_ends] * graph.pair_indicators(ix))
     )
     threshold = config.c_star * mu * k * k
     verdict = int(feasible and trace <= k and weighted >= threshold)

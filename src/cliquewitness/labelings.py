@@ -29,6 +29,7 @@ from .decomposition import EDGE_CHOICES, ComponentKind, _prefactor, component_va
 # benchmark (perfbench/spans.py) wraps labelings.build_component by name
 from .decomposition import build_component  # noqa: F401
 from .params import WitnessParams
+from .subsets import SubsetIndexer
 
 __all__ = [
     "PrimitiveGraph",
@@ -127,23 +128,7 @@ def build_primitive(
         couples = tuple((f"v{i}", f"w{i}") for i in range(1, m + 1))
         return PrimitiveGraph(kind, m, None, None, verts, tuple(edges), couples)
     if kind == "ribbon":
-        if (eta, nu) not in EDGE_CHOICES:
-            raise ValueError(f"invalid ribbon class ({eta}, {nu})")
-        length = 2 * m
-        verts = tuple(
-            f"{c}{i}" for i in range(1, length + 2) for c in ("u", "v")
-        )
-        edges = []
-        for j in range(1, length + 1):
-            left = (f"u{j}", f"v{j}")
-            right = (f"u{j + 1}", f"v{j + 1}")
-            # odd faces read left-to-right, even faces right-to-left; the
-            # alternation matches how transposed factors interleave in the
-            # trace expansion
-            a, b = (left, right) if j % 2 == 1 else (right, left)
-            edges += _face_edges(eta, nu, a[0], a[1], b[0], b[1])
-        couples = tuple((f"u{j}", f"v{j}") for j in range(1, length + 2))
-        return PrimitiveGraph(kind, m, eta, nu, verts, tuple(edges), couples)
+        return _ribbon(kind, eta, nu, m, 2 * m + 1)
     if kind == "star_ribbon":
         if (eta, nu) != (2, 1):
             raise ValueError(f"star ribbons are defined for class (2, 1), got ({eta}, {nu})")
@@ -153,19 +138,27 @@ def build_primitive(
 
 def build_cyclic_ribbon(eta: int, nu: int, m: int) -> PrimitiveGraph:
     """Ribbon of length 2m with wraparound: 4m vertices, 2m couples."""
+    return _ribbon("cyclic_ribbon", eta, nu, m, 2 * m)
+
+
+def _ribbon(kind: str, eta: int, nu: int, m: int, columns: int) -> PrimitiveGraph:
+    """2m faces over `columns` couples (u_j, v_j): face j joins column j to
+    the next, and with 2m columns the last face wraps around to the first."""
     if (eta, nu) not in EDGE_CHOICES:
         raise ValueError(f"invalid ribbon class ({eta}, {nu})")
-    length = 2 * m
-    verts = tuple(f"{c}{i}" for i in range(1, length + 1) for c in ("u", "v"))
+    verts = tuple(f"{c}{i}" for i in range(1, columns + 1) for c in ("u", "v"))
     edges = []
-    for j in range(1, length + 1):
-        nxt = j % length + 1
+    for j in range(1, 2 * m + 1):
+        nxt = j % columns + 1
         left = (f"u{j}", f"v{j}")
         right = (f"u{nxt}", f"v{nxt}")
+        # odd faces read left-to-right, even faces right-to-left; the
+        # alternation matches how transposed factors interleave in the
+        # trace expansion
         a, b = (left, right) if j % 2 == 1 else (right, left)
         edges += _face_edges(eta, nu, a[0], a[1], b[0], b[1])
-    couples = tuple((f"u{j}", f"v{j}") for j in range(1, length + 1))
-    return PrimitiveGraph("cyclic_ribbon", m, eta, nu, verts, tuple(edges), couples)
+    couples = tuple((f"u{j}", f"v{j}") for j in range(1, columns + 1))
+    return PrimitiveGraph(kind, m, eta, nu, verts, tuple(edges), couples)
 
 
 def _star_member(m: int, member: int) -> PrimitiveGraph:
@@ -382,14 +375,10 @@ def constrained_family_v_star(m: int) -> int:
     rep = merged[0]
     remap = {v: (rep if v in merged else v) for v in base.vertices}
     verts = tuple(sorted({remap[v] for v in base.vertices}))
-    edges = []
-    for u, v in base.edges:
-        ru, rv = remap[u], remap[v]
-        if ru == rv:
-            return 0  # degenerate; no valid labeling
-        edges.append(_edge(ru, rv))
+    # a collapsed edge (r, r) admits no labeling, so v_star reads 0 for it
+    edges = tuple(_edge(remap[u], remap[v]) for u, v in base.edges)
     couples = tuple(sorted({(remap[u], remap[v]) for u, v in base.couples}))
-    quotient = PrimitiveGraph("constrained", m, 3, 2, verts, tuple(edges), couples)
+    quotient = PrimitiveGraph("constrained", m, 3, 2, verts, edges, couples)
     return v_star(quotient)
 
 
@@ -504,12 +493,11 @@ def _graph_grams(
     graphs are stacked on a trailing axis of the centered variables and
     built in one component_values call.
     """
-    heads, tails = np.triu_indices(n, 1)
-    num_slots = heads.size
+    ix = SubsetIndexer(n)
+    num_slots = ix.num_pairs
     graphs = np.arange(1 << num_slots)
     bits = (graphs >> np.arange(num_slots)[:, None]) & 1
-    g = np.zeros((n, n, graphs.size))
-    g[heads, tails] = g[tails, heads] = bits - p
+    g = ix.lift(bits - p)
     # graph-major copy: each x.T @ x runs on the same C-contiguous matrix as a
     # one-graph build, so the grams keep their bits
     xs = np.moveaxis(component_values(g, kind, _prefactor(kind, params)), -1, 0).copy()

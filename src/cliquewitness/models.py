@@ -40,13 +40,6 @@ def _interior_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
     return (w.astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _symmetric_from_pairs(n: int, indexer: SubsetIndexer, values: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, n), dtype=values.dtype)
-    out[indexer.pair_heads - 1, indexer.pair_tails - 1] = values
-    out[indexer.pair_tails - 1, indexer.pair_heads - 1] = values
-    return out
-
-
 # ----------------------------------------------------------------------
 # graph instances
 # ----------------------------------------------------------------------
@@ -124,7 +117,7 @@ class GraphInstance:
     def pair_indicators(self, indexer: Optional[SubsetIndexer] = None) -> np.ndarray:
         """Edge indicators over canonical pair positions."""
         ix = indexer if indexer is not None else SubsetIndexer(self.n)
-        return self.adjacency[ix.pair_heads - 1, ix.pair_tails - 1]
+        return self.adjacency[ix.pair_ends]
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency)) // 2
@@ -140,7 +133,7 @@ def sample_er(n: int, p: float, seed: int) -> GraphInstance:
         raise ValueError(f"edge probability must lie in (0, 1], got {p}")
     indexer = SubsetIndexer(n)
     u = _generator(seed, _TAG_EDGES).random(indexer.num_pairs)
-    adj = _symmetric_from_pairs(n, indexer, u < p)
+    adj = indexer.lift(u < p)
     return GraphInstance(n, p, adj, planted=None, seed=seed)
 
 
@@ -216,7 +209,7 @@ def sample_gaussian(
         in_q[list(planted)] = True
         both = in_q[indexer.pair_heads] & in_q[indexer.pair_tails]
         base = base + mu * both
-    a = _symmetric_from_pairs(n, indexer, base)
+    a = indexer.lift(base)
     return GaussianInstance(
         n=n, mu=float(mu), k=k, A=a, hypothesis=hypothesis, planted=planted, seed=seed
     )

@@ -25,10 +25,6 @@ class WitnessParams:
             raise ValueError(f"alpha entries must be nonnegative, got {self.alpha}")
 
     @property
-    def alpha0(self) -> float:
-        return 1.0
-
-    @property
     def alpha1(self) -> float:
         return self.alpha[0]
 

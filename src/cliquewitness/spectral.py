@@ -57,8 +57,7 @@ class ProjectorFamily:
         self.n = n
         self.num_pairs = n * (n - 1) // 2
         ix = SubsetIndexer(n)
-        self._hi = ix.pair_heads - 1
-        self._ti = ix.pair_tails - 1
+        self._hi, self._ti = ix.pair_ends
 
     def _check(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -44,10 +44,14 @@ class VertexPair:
 
 
 class SubsetIndexer:
-    """Bijection between B(n) and the index range 0..dim-1.
+    """Bijection between B(n) and the index range 0..dim-1, and the one
+    place that knows the layout.
 
-    Precomputes head/tail label arrays for all pairs so that callers can build
-    matrices over the pair block with vectorized gathers.
+    Every subset is named by 0-padded labels (first, second): the empty set
+    is (0, 0), a singleton {v} is (0, v) and a pair {i, j} is (i, j) with
+    i < j.  The label arrays, the table back from labels to indices and the
+    lift of pair values to a symmetric matrix let callers build matrices
+    over the subset space with vectorized gathers.
     """
 
     def __init__(self, n: int):
@@ -56,18 +60,29 @@ class SubsetIndexer:
         self.n = n
         self.num_pairs = n * (n - 1) // 2
         self.dim = 1 + n + self.num_pairs
-        # pair_heads[t], pair_tails[t]: 1-based labels of the pair at 0-based
-        # pair position t (matrix index n + 1 + t)
-        heads = np.repeat(np.arange(1, n), np.arange(n - 1, 0, -1))
-        tails = np.concatenate([np.arange(i + 1, n + 1) for i in range(1, n)])
-        self.pair_heads = heads.astype(np.int64)
-        self.pair_tails = tails.astype(np.int64)
-        # _pair_pos[i, j] = 0-based pair position of {i+1, j+1}; -1 on diagonal
-        pos = np.full((n, n), -1, dtype=np.int64)
-        idx = np.arange(self.num_pairs)
-        pos[self.pair_heads - 1, self.pair_tails - 1] = idx
-        pos[self.pair_tails - 1, self.pair_heads - 1] = idx
-        self._pair_pos = pos
+        # pair_ends: the 0-based ends (heads, tails) of every pair, and
+        # pair_heads[t], pair_tails[t] their 1-based labels, at 0-based pair
+        # position t (matrix index n + 1 + t)
+        self.pair_ends = np.triu_indices(n, 1)
+        self.pair_heads = self.pair_ends[0] + 1
+        self.pair_tails = self.pair_ends[1] + 1
+        # first[s], second[s]: the 0-padded labels of the subset at index s
+        self.first = np.concatenate([np.zeros(n + 1, dtype=np.int64), self.pair_heads])
+        self.second = np.concatenate([np.arange(n + 1), self.pair_tails])
+        # position[a, b] = position[b, a]: the index of the subset labelled
+        # (a, b); the diagonal past (0, 0) labels no subset and reads 0
+        position = np.zeros((n + 1, n + 1), dtype=np.int64)
+        position[self.first, self.second] = position[self.second, self.first] = np.arange(self.dim)
+        self.position = position
+
+    def lift(self, values: np.ndarray) -> np.ndarray:
+        """The symmetric n x n array (zero diagonal) holding values[t] at the
+        ends of pair t, in values' dtype; trailing axes of values are kept."""
+        values = np.asarray(values)
+        heads, tails = self.pair_ends
+        out = np.zeros((self.n, self.n) + values.shape[1:], dtype=values.dtype)
+        out[heads, tails] = out[tails, heads] = values
+        return out
 
     # ------------------------------------------------------------------
     # scalar bijection
@@ -79,18 +94,13 @@ class SubsetIndexer:
 
     def index_of(self, subset: Iterable[int]) -> int:
         """Canonical index of a subset of size <= 2."""
-        s = frozenset(subset)
+        s = sorted(frozenset(subset))
         if len(s) > 2:
-            raise ValueError(f"subsets of size at most 2 only, got {sorted(s)}")
+            raise ValueError(f"subsets of size at most 2 only, got {s}")
         for v in s:
             self._check_vertex(int(v))
-        if len(s) == 0:
-            return 0
-        if len(s) == 1:
-            (v,) = s
-            return int(v)
-        i, j = sorted(s)
-        return 1 + self.n + int(self._pair_pos[i - 1, j - 1])
+        a, b = ([0, 0] + s)[-2:]
+        return int(self.position[a, b])
 
     def pair_index(self, i: int, j: int) -> int:
         """Fast path: canonical index of the pair {i, j}, i != j."""
@@ -98,7 +108,7 @@ class SubsetIndexer:
         self._check_vertex(j)
         if i == j:
             raise ValueError(f"pair requires two distinct vertices, got ({i}, {j})")
-        return 1 + self.n + int(self._pair_pos[i - 1, j - 1])
+        return int(self.position[i, j])
 
     def set_of(self, index: int) -> Subset:
         """Inverse of index_of."""

@@ -140,28 +140,17 @@ class MomentMatrix:
         return float(self.values[idx, idx].sum())
 
 
-def _labels(graph: GraphInstance, ix: SubsetIndexer) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-padded (first, second) labels of every subset, and the padded adjacency.
-
-    The empty set is (0, 0) and a singleton {v} is (0, v).  In the padded
-    adjacency, label 0 and the diagonal count as adjacent, so a subset is a
-    clique exactly when adj[first, second] holds.
-    """
-    n, dim = ix.n, ix.dim
-    first = np.zeros(dim, dtype=np.int64)
-    second = np.zeros(dim, dtype=np.int64)
-    second[1 : n + 1] = np.arange(1, n + 1)
-    first[n + 1 :] = ix.pair_heads
-    second[n + 1 :] = ix.pair_tails
-    adj = np.ones((n + 1, n + 1), dtype=bool)
-    adj[1:, 1:] = graph.adjacency | np.eye(n, dtype=bool)
-    return first, second, adj
+def _padded_adjacency(graph: GraphInstance) -> np.ndarray:
+    """The adjacency over 0-padded labels: label 0 and the diagonal count as
+    adjacent, so a subset is a clique exactly when adj[first, second] holds."""
+    adj = np.ones((graph.n + 1, graph.n + 1), dtype=bool)
+    adj[1:, 1:] = graph.adjacency | np.eye(graph.n, dtype=bool)
+    return adj
 
 
 def _clique_subsets(graph: GraphInstance, ix: SubsetIndexer) -> np.ndarray:
     """Indices of the subsets that are cliques: the rows where M can be nonzero."""
-    first, second, adj = _labels(graph, ix)
-    return np.flatnonzero(adj[first, second])
+    return np.flatnonzero(_padded_adjacency(graph)[ix.first, ix.second])
 
 
 def _full_matrix(
@@ -176,10 +165,10 @@ def _full_matrix(
     and B to be cliques (M = D N D).  The union sizes depend on n alone.  On
     one index for both sides the table is exactly symmetric.
     """
-    first, second, adj = _labels(graph, ix)
+    adj = _padded_adjacency(graph)
     if cols is None:
         cols = index
-    r1, r2, b1, b2 = first[index], second[index], first[cols], second[cols]
+    r1, r2, b1, b2 = ix.first[index], ix.second[index], ix.first[cols], ix.second[cols]
     count = (r1 > 0).astype(np.int8) + (r2 > 0)
     clique, col_clique = adj[r1, r2], adj[b1, b2]
 
@@ -350,14 +339,9 @@ def _entry_unions(first: np.ndarray, second: np.ndarray, rows: np.ndarray, cols:
 def _slots(ix: SubsetIndexer, index: np.ndarray) -> np.ndarray:
     """slots[a, b]: the row of the subset {a, b} (0-padded labels) among the
     subsets at `index`, or -1 when it is not one of them."""
-    n = ix.n
-    position = np.zeros((n + 1, n + 1), dtype=np.int64)
-    position[0, 1:] = position[1:, 0] = np.arange(1, n + 1)
-    pairs = np.arange(n + 1, ix.dim)
-    position[ix.pair_heads, ix.pair_tails] = position[ix.pair_tails, ix.pair_heads] = pairs
     row = np.full(ix.dim, -1, dtype=np.int64)
     row[index] = np.arange(len(index))
-    return row[position]
+    return row[ix.position]
 
 
 def _unions_agree(region: np.ndarray, slots: np.ndarray, unions: dict) -> bool:
@@ -454,14 +438,13 @@ def check_sos_feasibility(
     union_ok = symmetric and _unions_agree(region, slots, _clique_unions(graph.adjacency))
     # off-support nonzeros, a block of rows at a time: each fails the support
     # test, and the union audit lists their unions
-    first, second, _ = _labels(graph, ix)
     stray = 0
     for start in range(0, len(index), _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
         r, c = np.nonzero((region[rows] != 0.0) & off_support[rows])
         stray += r.size
         if union_ok and r.size:
-            unions = _entry_unions(first, second, index[r + start], index[c])
+            unions = _entry_unions(ix.first, ix.second, index[r + start], index[c])
             union_ok = _unions_agree(region, slots, unions)
     del off_support  # a mask the size of the block, not needed by the factorization
 

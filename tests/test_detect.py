@@ -182,9 +182,10 @@ def test_in_place_feasibility_matches_default():
     assert seen == {False, True}
 
 
-def test_submatrix_factors_its_witness_in_place(monkeypatch):
-    # the fill and its factorization share one dim^2 float block; a copy for
-    # the factorization would take the peak past 2 dim^2 floats
+@pytest.mark.parametrize("scaling", [1.0, 0.5])
+def test_submatrix_factors_its_witness_in_place(scaling, monkeypatch):
+    # the fill, its scaling and its factorization share one dim^2 float
+    # block; a copy for either would take the peak past 2 dim^2 floats
     dims = []
     real = detect.build_block
 
@@ -195,7 +196,7 @@ def test_submatrix_factors_its_witness_in_place(monkeypatch):
 
     monkeypatch.setattr(detect, "build_block", recording)
     inst = sample_gaussian(90, 0.0, None, "H0", 10000)
-    cfg = DetectConfig(kappa=criterion9_kappa(90))
+    cfg = DetectConfig(kappa=criterion9_kappa(90), scaling=scaling)
     submatrix_test(inst, cfg, 6.0, 1e-4)  # the warm-up keeps one-time allocations out
     tracemalloc.start()
     try:

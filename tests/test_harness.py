@@ -185,33 +185,42 @@ def test_frontier_builds_one_code_table_per_graph(monkeypatch):
     assert 0.0 < dict(record.aggregates)["kappa_star"] < 0.1
 
 
-# sha256 of the detection CSVs these configs printed before the block form
-# of the witness; the block route must reproduce them byte for byte.  They
-# hold with OpenBLAS at one thread and at two (the default on 2 vCPUs)
-DETECTION_PINS = {
+# sha256 of the CSVs these configs print.  The detection digests predate the
+# block form of the witness, the expansion and audit digests the one subset
+# layout in SubsetIndexer; each route must reproduce them byte for byte.
+# They hold with OpenBLAS at one thread and at two (the default on 2 vCPUs)
+CLI_PINS = {
     "submatrix_feasible": (
-        {"n_grid": [30], "trials": 3, "kappa_rule": "fixed", "kappa": 0.002,
-         "extras": {"test": "submatrix", "k": 6.0}},
+        {"experiment": "detection", "n_grid": [30], "trials": 3, "kappa_rule": "fixed",
+         "kappa": 0.002, "extras": {"test": "submatrix", "k": 6.0}},
         "bd1d9048983bd5fbd08db1a12df9a45ec2bcd58be90184cab264e48fe2004359",
     ),
     "submatrix_infeasible": (
-        {"n_grid": [30], "trials": 3, "kappa_rule": "fixed", "kappa": 0.05,
-         "extras": {"test": "submatrix", "k": 6.0}},
+        {"experiment": "detection", "n_grid": [30], "trials": 3, "kappa_rule": "fixed",
+         "kappa": 0.05, "extras": {"test": "submatrix", "k": 6.0}},
         "56e2b33433a42893ded3d633fcbd703bcb04190cdeecd9f502762183d398d079",
     ),
     "clique": (
-        {"n_grid": [20], "trials": 4, "kappa_rule": "fixed", "kappa": 0.02,
-         "extras": {"test": "clique", "k": 0.4}},
+        {"experiment": "detection", "n_grid": [20], "trials": 4, "kappa_rule": "fixed",
+         "kappa": 0.02, "extras": {"test": "clique", "k": 0.4}},
         "237b0ed50f63083d952bc9598b2f3e9a1df616cb60ff1104b6d4625ebefc792b",
+    ),
+    "expansion_identities": (
+        {"experiment": "expansion_identities", "n_grid": [15, 30], "trials": 3},
+        "c157d99d5a182e021994aa238fba0e2e88a8f26c781186ad8f0b97eb8c344f60",
+    ),
+    "labeling_audit": (
+        {"experiment": "labeling_audit"},
+        "0e74bebb74ff951833fd98f708893cfd231e44054fbd1ae84093f2f5f6d180ec",
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(DETECTION_PINS))
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
 def test_detection_cli_bytes_pinned(name, tmp_path, capsys):
-    fields, digest = DETECTION_PINS[name]
-    path = tmp_path / "detect.json"
-    path.write_text(json.dumps({"experiment": "detection", **fields}))
+    fields, digest = CLI_PINS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
     assert main(["--config", str(path)]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,15 +38,34 @@ def test_ordering_layout():
     ]
 
 
-@pytest.mark.parametrize("n", [4, 5, 8, 13])
+def lift_by_loop(ix, values):
+    # the pair-to-symmetric lift written out pair by pair
+    out = np.zeros((ix.n, ix.n) + values.shape[1:], dtype=values.dtype)
+    for t in range(ix.num_pairs):
+        i, j = sorted(ix.set_of(ix.n + 1 + t))
+        out[i - 1, j - 1] = out[j - 1, i - 1] = values[t]
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 13, 30])
 def test_round_trip_both_ways(n):
     ix = SubsetIndexer(n)
     seen = set()
     for t in range(ix.dim):
         s = ix.set_of(t)
         assert ix.index_of(s) == t
+        # the 0-padded labels name the subset, and the table reads them back
+        assert (ix.first[t], ix.second[t]) == tuple(([0, 0] + sorted(s))[-2:])
+        assert ix.position[ix.first[t], ix.second[t]] == t
         seen.add(s)
     assert len(seen) == ix.dim
+    assert np.array_equal(ix.position, ix.position.T)
+    rng = np.random.default_rng(n)
+    for values in (rng.random(ix.num_pairs) < 0.5, rng.standard_normal(ix.num_pairs),
+                   rng.standard_normal((ix.num_pairs, 3))):
+        lifted = ix.lift(values)
+        assert lifted.dtype == values.dtype
+        assert np.array_equal(lifted, lift_by_loop(ix, values))
 
 
 def test_pair_indices_increase_lexicographically():
