@@ -315,19 +315,15 @@ def class1_sum_operator(graph: GraphInstance, params: WitnessParams) -> LinearOp
     """Matrix-free sum of the four class-1 relaxed components."""
     from scipy.sparse.linalg import LinearOperator  # loaded on first use, not at package import
 
-    ix = SubsetIndexer(graph.n)
+    fam = ProjectorFamily(graph.n)
     g = graph.centered
-    hi, ti = ix.pair_ends
-    n = graph.n
-    npairs = ix.num_pairs
     scale = params.alpha4 * params.p ** 3
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v).ravel()
-        w = np.bincount(hi, weights=v, minlength=n) + np.bincount(ti, weights=v, minlength=n)
-        u = g @ w
-        return scale * (u[hi] + u[ti])
+        # S^T g S v; matmat passes (N, 1) columns, which incidence_sum rejects
+        return scale * fam.incidence_lift(g @ fam.incidence_sum(np.asarray(v).ravel()))
 
+    npairs = fam.num_pairs
     return LinearOperator((npairs, npairs), matvec=matvec, rmatvec=matvec, dtype=np.float64)
 
 

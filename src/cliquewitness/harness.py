@@ -106,6 +106,12 @@ class ExperimentConfig:
             )
         if self.kappa_rule == "fixed" and self.kappa is None:
             raise ValueError("kappa_rule 'fixed' requires kappa")
+        if not 0.0 < self.p <= 1.0:
+            raise ValueError(f"p must lie in (0, 1], got {self.p}")
+        for name in ("kappa", "c0", "constant"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     def kappa_for(self, n: int) -> float:
         if self.kappa_rule == "fixed":

@@ -20,7 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, exp, log, sqrt
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,15 +184,16 @@ def _star_member(m: int, member: int) -> PrimitiveGraph:
     for j in range(1, length + 1):
         side = "u" if (member >> (j - 1)) & 1 == 0 else "v"
         union(f"{side}{j}", f"{side}{j + 1}")
+    return _quotient(base, "star_ribbon", {v: find(v) for v in base.vertices})
 
-    verts = tuple(sorted({find(v) for v in base.vertices}))
-    edges = []
-    for u, v in base.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:  # identification deletes the collapsed edge
-            edges.append(_edge(ru, rv))
-    couples = tuple(sorted({(find(u), find(v)) for u, v in base.couples}))
-    return PrimitiveGraph("star_ribbon", m, 2, 1, verts, tuple(edges), couples)
+
+def _quotient(base: PrimitiveGraph, kind: str, rep: Mapping[str, str]) -> PrimitiveGraph:
+    """base with each vertex v renamed rep[v]: an edge whose ends merge is
+    deleted, and couples that coincide are kept once."""
+    verts = tuple(sorted({rep[v] for v in base.vertices}))
+    edges = tuple(_edge(rep[u], rep[v]) for u, v in base.edges if rep[u] != rep[v])
+    couples = tuple(sorted({(rep[u], rep[v]) for u, v in base.couples}))
+    return PrimitiveGraph(kind, base.m, base.eta, base.nu, verts, edges, couples)
 
 
 def star_ribbon_members(m: int) -> Iterator[PrimitiveGraph]:
@@ -372,14 +373,8 @@ def constrained_family_v_star(m: int) -> int:
     u_1, v_2, u_3, v_4, ... forced onto a single label."""
     base = build_cyclic_ribbon(3, 2, m)
     merged = tuple(f"{'u' if l % 2 == 1 else 'v'}{l}" for l in range(1, 2 * m + 1))
-    rep = merged[0]
-    remap = {v: (rep if v in merged else v) for v in base.vertices}
-    verts = tuple(sorted({remap[v] for v in base.vertices}))
-    # a collapsed edge (r, r) admits no labeling, so v_star reads 0 for it
-    edges = tuple(_edge(remap[u], remap[v]) for u, v in base.edges)
-    couples = tuple(sorted({(remap[u], remap[v]) for u, v in base.couples}))
-    quotient = PrimitiveGraph("constrained", m, 3, 2, verts, edges, couples)
-    return v_star(quotient)
+    remap = {v: (merged[0] if v in merged else v) for v in base.vertices}
+    return v_star(_quotient(base, "constrained", remap))
 
 
 # ----------------------------------------------------------------------

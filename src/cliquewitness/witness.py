@@ -14,10 +14,10 @@ H >= 0  =>  N >= 0  =>  M >= 0.
 
 Every entry is read from an int8 code table: |A u B| where the support
 holds, OFF_SUPPORT elsewhere, filled from the alpha table padded with 0.0
-at OFF_SUPPORT.  Kind M has a block form: only the rows and columns of
-cliques can be nonzero, so its block on the clique subsets holds all of it.
-A graph's CliqueStructure holds that block's code table, built once; the
-block build, the feasibility audit and the block PSD verdict all read it.
+at OFF_SUPPORT.  M can be nonzero only on the rows and columns of cliques,
+and there its support is N's.  A graph's CliqueStructure holds the code
+table of that block, built once; the dense and block builds of M, the
+feasibility audit and the block PSD verdict all read it.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class CliqueStructure:
     @classmethod
     def of(cls, graph: GraphInstance) -> "CliqueStructure":
         ix = SubsetIndexer(graph.n)
-        index = _clique_subsets(graph, ix)
-        return cls(graph, ix, index, _full_matrix(graph, ix, "M", index))
+        index = np.flatnonzero(_padded_adjacency(graph)[ix.first, ix.second])
+        return cls(graph, ix, index, _full_matrix(graph, ix, index))
 
 
 @dataclass(frozen=True)
@@ -148,29 +148,23 @@ def _padded_adjacency(graph: GraphInstance) -> np.ndarray:
     return adj
 
 
-def _clique_subsets(graph: GraphInstance, ix: SubsetIndexer) -> np.ndarray:
-    """Indices of the subsets that are cliques: the rows where M can be nonzero."""
-    return np.flatnonzero(_padded_adjacency(graph)[ix.first, ix.second])
-
-
 def _full_matrix(
-    graph: GraphInstance, ix: SubsetIndexer, kind: str, index: np.ndarray,
+    graph: GraphInstance, ix: SubsetIndexer, index: np.ndarray,
     cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Code table (int8) of kind M or N: |A u B| on the support, OFF_SUPPORT off it.
+    """Code table (int8) of N: |A u B| on the support, OFF_SUPPORT off it.
 
     Rows span the subsets at positions `index` of the indexer, and columns
     those at `cols` (`index` again when None).  The support of N is the
-    product of the cross edges between A \\ B and B \\ A; M also needs A
-    and B to be cliques (M = D N D).  The union sizes depend on n alone.  On
-    one index for both sides the table is exactly symmetric.
+    product of the cross edges between A \\ B and B \\ A.  The union sizes
+    depend on n alone.  On one index for both sides the table is exactly
+    symmetric.
     """
     adj = _padded_adjacency(graph)
     if cols is None:
         cols = index
     r1, r2, b1, b2 = ix.first[index], ix.second[index], ix.first[cols], ix.second[cols]
     count = (r1 > 0).astype(np.int8) + (r2 > 0)
-    clique, col_clique = adj[r1, r2], adj[b1, b2]
 
     codes = np.empty((len(r1), len(b1)), dtype=np.int8)
     for start in range(0, len(r1), _ROW_CHUNK):
@@ -184,8 +178,6 @@ def _full_matrix(
         support = np.logical_and(adj1[:, b1] | eq12 | eq21, adj1[:, b2] | eq11 | eq22)
         support &= adj2[:, b1] | eq22 | eq11
         support &= adj2[:, b2] | eq21 | eq12
-        if kind == "M":
-            support &= clique[rows, None] & col_clique
         codes[rows] = np.where(support, sizes, OFF_SUPPORT)
     return codes
 
@@ -218,11 +210,15 @@ def build_matrix(graph: GraphInstance, params: WitnessParams, kind: str) -> Mome
     if kind not in ("M", "N", "H"):
         raise ValueError(f"kind must be 'M', 'N' or 'H', got {kind}")
     _check_probability(graph, params)
+    if kind == "M":
+        s = CliqueStructure.of(graph)
+        values = np.zeros((s.indexer.dim, s.indexer.dim))
+        values[np.ix_(s.index, s.index)] = fill(s.codes, padded_table(params))
+        return MomentMatrix(indexer=s.indexer, kind="M", values=values, params=params)
     ix = SubsetIndexer(graph.n)
-    codes = _full_matrix(graph, ix, "M" if kind == "M" else "N", np.arange(ix.dim))
-    values = fill(codes, padded_table(params))
-    if kind in ("M", "N"):
-        return MomentMatrix(indexer=ix, kind=kind, values=values, params=params)
+    values = fill(_full_matrix(graph, ix, np.arange(ix.dim)), padded_table(params))
+    if kind == "N":
+        return MomentMatrix(indexer=ix, kind="N", values=values, params=params)
     by_size = np.concatenate([np.full(ix.n, params.alpha1), np.full(ix.num_pairs, params.alpha2)])
     values = values[1:, 1:] - np.outer(by_size, by_size)
     return MomentMatrix(indexer=ix, kind="H", values=values, params=params)
@@ -253,7 +249,7 @@ def h_rows(graph: GraphInstance, params: WitnessParams, block: str) -> Callable[
     table = padded_table(params)
 
     def rows_of(rows: slice) -> np.ndarray:
-        values = fill(_full_matrix(graph, ix, "N", subsets[rows], pairs), table)
+        values = fill(_full_matrix(graph, ix, subsets[rows], pairs), table)
         values -= row_alpha * params.alpha2
         return values
 
@@ -327,15 +323,6 @@ def _clique_unions(adjacency: np.ndarray) -> dict:
     return unions
 
 
-def _entry_unions(first: np.ndarray, second: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> dict:
-    """The label sets A u B of the entries (rows, cols), keyed by union size."""
-    labels = np.sort(np.stack([first[rows], second[rows], first[cols], second[cols]], axis=1), axis=1)
-    labels[:, 1:][labels[:, 1:] == labels[:, :-1]] = 0
-    labels.sort(axis=1)
-    size = np.count_nonzero(labels, axis=1)
-    return {k: labels[size == k, 4 - k :] for k in range(1, 5)}
-
-
 def _slots(ix: SubsetIndexer, index: np.ndarray) -> np.ndarray:
     """slots[a, b]: the row of the subset {a, b} (0-padded labels) among the
     subsets at `index`, or -1 when it is not one of them."""
@@ -368,20 +355,9 @@ def _unions_agree(region: np.ndarray, slots: np.ndarray, unions: dict) -> bool:
     return True
 
 
-def _clique_region(values: np.ndarray, graph: GraphInstance, ix: SubsetIndexer):
-    """(index, region) of a dense kind-M matrix: its clique subsets and block,
-    or every subset and the whole matrix when a non-clique row or column
-    carries mass."""
-    index = _clique_subsets(graph, ix)
-    region = values[np.ix_(index, index)]
-    if np.count_nonzero(region) != np.count_nonzero(values):
-        return np.arange(ix.dim), values
-    return index, region
-
-
 def block_psd_check(values: np.ndarray, tol: float, exact: bool,
                     in_place: bool = False) -> PsdReport:
-    """psd_check(values, tol), report for report, for a block-form witness.
+    """psd_check(values, tol), report for report, for a witness's clique block.
 
     The caller sets `exact` when values is exactly symmetric with finite
     entries, as a fill of a CliqueStructure from a finite table is.  With a
@@ -406,58 +382,59 @@ def check_sos_feasibility(
     PSD up to tol (relative to the largest diagonal entry).  The first four
     are exact comparisons, not tolerance-based.
 
-    All five run on one block: the block form's own, or for a dense matrix
-    its block of clique rows and columns once the other rows and columns are
-    seen to vanish, and the whole matrix otherwise.  Entries off the block
-    are 0.  A union that is not a clique has a position with a non-clique
-    side, so its positions agree exactly when none holds a nonzero entry off
-    the support: the union audit lists the clique unions of the graph and
-    the unions of those entries.  A block form's support and PSD verdict
-    come from its CliqueStructure, which must be the graph's (ValueError
-    otherwise), and block_psd_check; a dense matrix's support is derived
-    here and its verdict is psd_check's.  With `in_place` the block
-    verdict may factor mat.values of a block form in place, so pass it only
-    when the witness is not read again; a dense matrix is never overwritten.
+    All five run on one block of the graph's CliqueStructure: the block
+    form's own, which must be the graph's (ValueError otherwise), or a copy
+    of a dense matrix's clique rows and columns.  A dense matrix is audited
+    whole only when mass lies off that block.  On the block, entries off it
+    are 0, so a union that is not a clique never agrees once an entry of it
+    is nonzero: it holds a non-edge {u, w}, and its position ({u, w}, the
+    rest) reads 0.  The union audit then lists the clique unions of the
+    graph, and fails on any nonzero entry off the support.  A whole matrix's
+    audit lists every union of at most 4 vertices.  The PSD verdict is
+    block_psd_check's on the block, and psd_check's on a whole matrix.  With
+    `in_place` the verdict may factor mat.values of a block form in place, so
+    pass it only when the witness is not read again; a dense matrix is never
+    overwritten.
     """
     if mat.kind != "M":
         raise ValueError(f"feasibility checks apply to kind 'M', got {mat.kind}")
     if mat.n != graph.n:
         raise ValueError(f"dimension mismatch: matrix n={mat.n}, graph n={graph.n}")
-    ix = mat.indexer
-    if mat.structure is None:
-        index, region = _clique_region(mat.values, graph, ix)
-        off_support = _full_matrix(graph, ix, "M", index) == OFF_SUPPORT
-    elif np.array_equal(mat.structure.graph.adjacency, graph.adjacency):
-        index, region = mat.index, mat.values
-        off_support = mat.structure.codes == OFF_SUPPORT
-    else:
+    structure = mat.structure or CliqueStructure.of(graph)
+    if not np.array_equal(structure.graph.adjacency, graph.adjacency):
         raise ValueError("the block's clique structure belongs to another graph")
-    slots = _slots(ix, index)
-    in_range = bool(np.all(region >= 0.0) and np.all(region <= 1.0))
-    symmetric = np.array_equal(region, region.T)
-    union_ok = symmetric and _unions_agree(region, slots, _clique_unions(graph.adjacency))
-    # off-support nonzeros, a block of rows at a time: each fails the support
-    # test, and the union audit lists their unions
+    ix, index, codes = structure.indexer, structure.index, structure.codes
+    block, whole = mat.values, False
+    if mat.structure is None:
+        block = mat.values[np.ix_(index, index)]
+        whole = np.count_nonzero(block) != np.count_nonzero(mat.values)
+    # nonzeros off the support in the block, a block of rows at a time
     stray = 0
     for start in range(0, len(index), _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
-        r, c = np.nonzero((region[rows] != 0.0) & off_support[rows])
-        stray += r.size
-        if union_ok and r.size:
-            unions = _entry_unions(ix.first, ix.second, index[r + start], index[c])
-            union_ok = _unions_agree(region, slots, unions)
-    del off_support  # a mask the size of the block, not needed by the factorization
+        stray += np.count_nonzero((block[rows] != 0.0) & (codes[rows] == OFF_SUPPORT))
+    vanishes = stray == 0 and not whole
+    adjacency = graph.adjacency
+    if whole:
+        block, index = mat.values, np.arange(ix.dim)
+        adjacency = np.ones((ix.n, ix.n), dtype=bool)
+    in_range = bool(np.all(block >= 0.0) and np.all(block <= 1.0))
+    symmetric = np.array_equal(block, block.T)
+    # on the block, a union with a nonzero entry off the support never agrees
+    union_ok = symmetric and (vanishes or whole) and _unions_agree(
+        block, _slots(ix, index), _clique_unions(adjacency))
 
-    # read before the factorization, which may overwrite region
-    empty_is_one = bool(region[0, 0] == 1.0)
+    # read before the factorization, which may overwrite block
+    empty_is_one = bool(block[0, 0] == 1.0)
     objective = mat.objective()
-    # rows left out of region vanish; entries in range are finite
-    exact = mat.structure is not None and symmetric and in_range
-    psd_report = block_psd_check(region, tol, exact, in_place=in_place)
+    # rows left out of block vanish; entries in range are finite.  A dense
+    # matrix's block is this audit's own copy.
+    exact = symmetric and in_range and not whole
+    psd_report = block_psd_check(block, tol, exact, in_place=in_place or mat.structure is None)
     return FeasibilityReport(
         empty_entry_is_one=empty_is_one,
         entries_in_range=in_range,
-        vanishes_off_cliques=stray == 0,
+        vanishes_off_cliques=vanishes,
         union_symmetric=union_ok,
         psd=psd_report.psd,
         objective=objective,

@@ -219,18 +219,20 @@ def test_detection_never_builds_dense_witness(monkeypatch):
 
 
 def test_submatrix_builds_one_code_table(monkeypatch):
-    # the audit reads the support from the block's structure
+    # the audit reads the support from the block's structure: one code table
+    # per trial
     calls = []
     full_matrix = witness._full_matrix
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[0].n)
         return full_matrix(*args, **kwargs)
 
     monkeypatch.setattr(witness, "_full_matrix", counted)
-    inst = sample_gaussian(30, 0.0, None, "H0", seed=1)
-    assert submatrix_test(inst, DetectConfig(kappa=criterion9_kappa(30)), 6.0, 1e-4).feasibility
-    assert calls == ["M"]
+    for seed in (1, 2, 3):
+        inst = sample_gaussian(30, 0.0, None, "H0", seed=seed)
+        assert submatrix_test(inst, DetectConfig(kappa=criterion9_kappa(30)), 6.0, 1e-4).feasibility
+    assert calls == [30, 30, 30]
 
 
 def test_gaussian_thresholding_density():

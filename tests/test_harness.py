@@ -55,6 +55,11 @@ def test_config_validation():
         ExperimentConfig(experiment="w_conditions", n_grid=(10,), kappa_rule="magic")
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="w_conditions", n_grid=(10,), kappa_rule="fixed")
+    for bad in ({"p": 0.0}, {"p": 1.5}, {"kappa": -0.1}, {"kappa": 0.0}, {"c0": 0.0},
+                {"constant": 0.0}, {"constant": -1.0}):
+        with pytest.raises(ValueError, match="must"):
+            ExperimentConfig(experiment="w_conditions", n_grid=(10,), **bad)
+    ExperimentConfig(experiment="w_conditions", n_grid=(10,), p=1.0)
     # the audit runs on fixed label budgets, so an empty grid is allowed there
     ExperimentConfig(experiment="labeling_audit", n_grid=())
 
@@ -187,7 +192,8 @@ def test_frontier_builds_one_code_table_per_graph(monkeypatch):
 
 # sha256 of the CSVs these configs print.  The detection digests predate the
 # block form of the witness, the expansion and audit digests the one subset
-# layout in SubsetIndexer; each route must reproduce them byte for byte.
+# layout in SubsetIndexer, the frontier digest the one clique structure
+# behind every kind-M witness; each route must reproduce them byte for byte.
 # They hold with OpenBLAS at one thread and at two (the default on 2 vCPUs)
 CLI_PINS = {
     "submatrix_feasible": (
@@ -212,6 +218,10 @@ CLI_PINS = {
     "labeling_audit": (
         {"experiment": "labeling_audit"},
         "0e74bebb74ff951833fd98f708893cfd231e44054fbd1ae84093f2f5f6d180ec",
+    ),
+    "psd_frontier": (
+        {"experiment": "psd_frontier", "n_grid": [40, 50], "trials": 10},
+        "220c37a65c0f0a872e343b83b8f426f1a3210f7e48e321cf3017451ab4d0c8e3",
     ),
 }
 
@@ -495,6 +505,12 @@ def test_main_rejects_missing_experiment_and_bad_tol(capsys):
     with pytest.raises(SystemExit):
         main(["--experiment", "w_conditions", "--n", "100", "--tol", "oops"])
     capsys.readouterr()
+    # out-of-range values end in a usage error (exit 2), not a traceback from run
+    for bad in (["--c0", "0"], ["--kappa", "-0.1"], ["--p", "0"], ["--p", "1.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--experiment", "w_conditions", "--n", "20", "--trials", "1", *bad])
+        assert exc.value.code == 2
+        assert "must" in capsys.readouterr().err
 
 
 def test_detection_comb_via_config_file(tmp_path, capsys):

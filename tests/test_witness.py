@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquewitness import witness
 from cliquewitness.models import GraphInstance, clique_indicator, sample_er, sample_planted
 from cliquewitness.params import WitnessParams, derive_alphas
 from cliquewitness.spectral import psd_check
@@ -386,6 +387,36 @@ def test_feasibility_flags_match_full_matrix_reference(edit, n, k, seed):
            rep.union_symmetric)
     assert got == reference_flags(vals, g)
     assert rep.psd == psd_check(vals).psd  # the block verdict is the full-matrix one
+
+
+def test_dense_audit_factors_its_own_block(monkeypatch):
+    # a dense witness is audited on its own copy of the clique block: one code
+    # table, the block verdict in place of psd_check, and the caller's matrix
+    # untouched.  Mass off the block still takes psd_check on the whole.
+    g = sample_planted(20, 0.5, 6, seed=0)
+    mat = build_matrix(g, derive_alphas(0.01, 0.5), "M")
+    want = psd_check(mat.values)
+    before = mat.values.tobytes()
+    calls = []
+    full_matrix = witness._full_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return full_matrix(*args, **kwargs)
+
+    def no_psd_check(*args, **kwargs):
+        raise AssertionError("the dense audit called psd_check")
+
+    monkeypatch.setattr(witness, "_full_matrix", counted)
+    monkeypatch.setattr(witness, "psd_check", no_psd_check)
+    rep = check_sos_feasibility(mat, g)
+    assert rep.feasible and rep.psd_report == want
+    assert calls == [20]
+    assert mat.values.tobytes() == before
+    vals = mat.values.copy()
+    FEASIBILITY_EDITS["one_sided_non_clique_row"](vals, mat.indexer, g)
+    with pytest.raises(AssertionError, match="called psd_check"):
+        check_sos_feasibility(MomentMatrix(mat.indexer, "M", vals, mat.params), g)
 
 
 def test_union_audit_reads_zero_off_the_block():
