@@ -336,16 +336,13 @@ def component_norm(graph: GraphInstance, params: WitnessParams, kind: ComponentK
     K and J(4,1) go through component_operator at every n.  L components
     are dense n x C(n, 2) blocks.  The other pair components have no
     operator: they are densified up to n = _DENSE_COMPONENT_LIMIT, and
-    component_operator rejects them above it.
+    component_operator rejects them above it.  Every dense component takes
+    rect_operator_norm.
     """
-    if kind.family == "L":
-        return rect_operator_norm(build_component(graph, params, kind).values)
-    if kind.family == "K" or kind.eta == 4 or graph.n > _DENSE_COMPONENT_LIMIT:
+    dense = kind.family == "L" or graph.n <= _DENSE_COMPONENT_LIMIT
+    if kind.family == "K" or kind.eta == 4 or not dense:
         return sym_operator_norm(component_operator(graph, params, kind))
-    vals = build_component(graph, params, kind).values
-    if np.array_equal(vals, vals.T):
-        return sym_operator_norm(vals)
-    return rect_operator_norm(vals)
+    return rect_operator_norm(build_component(graph, params, kind).values)
 
 
 def class1_sum_norm(graph: GraphInstance, params: WitnessParams) -> float:

@@ -15,7 +15,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import ceil, log
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,21 +57,17 @@ __all__ = [
     "main",
 ]
 
-EXPERIMENTS = (
-    "psd_frontier",
-    "norm_scaling",
-    "expansion_identities",
-    "labeling_audit",
-    "detection",
-    "w_conditions",
-)
-
 _KAPPA_RULES = ("fixed", "theorem1", "binary_search")
 
 # frontier search protocol: fixed bisection grid, supermajority success rule
 _BISECTION_STEPS = 12
 _KAPPA_LO = 1e-6
 _KAPPA_HI = 1e-1
+
+# the smallest grid point each experiment runs at (4 where unlisted): a graph
+# needs 4 vertices, the expected blocks and the condition evaluator 5.  The
+# labeling audit ignores its grid.
+_MIN_N = {"expansion_identities": 5, "w_conditions": 5}
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,15 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
-        if not self.n_grid and self.experiment != "labeling_audit":
-            raise ValueError("n_grid must be nonempty")
+        if self.experiment != "labeling_audit":
+            if not self.n_grid:
+                raise ValueError("n_grid must be nonempty")
+            least = _MIN_N.get(self.experiment, 4)
+            if min(self.n_grid) < least:
+                raise ValueError(
+                    f"{self.experiment} n must be at least {least}, got {min(self.n_grid)}")
+        if self.seed0 < 0:
+            raise ValueError(f"seed0 must be nonnegative, got {self.seed0}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.kappa_rule not in _KAPPA_RULES:
@@ -368,12 +371,11 @@ def _run_detection(config: ExperimentConfig) -> List[ResultRecord]:
                     seed,
                 )
                 out = test_submatrix(inst, test_config, k, mu)
-                threshold = test_config.c_star * mu * k * k
                 per_seed.append((seed, "verdict", float(out.verdict)))
                 per_seed.append((seed, "weighted", out.statistic_weighted))
                 per_seed.append((seed, "feasible", float(out.feasibility)))
                 verdicts.append(float(out.verdict))
-                exceeds.append(float(out.statistic_weighted >= threshold))
+                exceeds.append(float(out.statistic_weighted >= out.threshold_used))
             aggregates = (
                 ("verdict_fraction", float(np.mean(verdicts))),
                 ("exceed_fraction", float(np.mean(exceeds))),
@@ -441,6 +443,8 @@ _RUNNERS = {
     "w_conditions": _run_w_conditions,
 }
 
+EXPERIMENTS = tuple(_RUNNERS)
+
 
 def run(config: ExperimentConfig) -> List[ResultRecord]:
     """Execute the configured experiment and return its records."""
@@ -465,20 +469,7 @@ def _metadata(config: ExperimentConfig) -> Dict[str, object]:
         "version": __version__,
         "rng": f"philox key=[seed, tag]; {GAUSSIAN_METHOD}",
         "tolerances": dict(config.tolerances),
-        "config": {
-            "experiment": config.experiment,
-            "n_grid": list(config.n_grid),
-            "p": config.p,
-            "kappa_rule": config.kappa_rule,
-            "kappa": config.kappa,
-            "c0": config.c0,
-            "constant": config.constant,
-            "trials": config.trials,
-            "seed0": config.seed0,
-            "tolerances": dict(config.tolerances),
-            "output_path": config.output_path,
-            "extras": dict(config.extras),
-        },
+        "config": asdict(config),
     }
 
 
@@ -530,69 +521,45 @@ def emit(
 # ----------------------------------------------------------------------
 
 
-def _aggregate(records: Sequence[ResultRecord], n: int, name: str) -> Optional[float]:
-    for rec in records:
-        if rec.n == n:
-            for key, value in rec.aggregates:
-                if key == name:
-                    return value
-    return None
-
-
 def check_records(config: ExperimentConfig, records: Sequence[ResultRecord]) -> bool:
-    """Experiment-specific pass verdict used by the --check flag."""
+    """Experiment-specific pass verdict used by the --check flag.
+
+    Every predicate reads the aggregates by (n, metric), the first record's
+    value where a point repeats.  A missing aggregate reads NaN, and every
+    predicate is a comparison, which fails on NaN.
+    """
+    values: Dict[Tuple[int, str], float] = {}
+    for rec in records:
+        for name, value in rec.aggregates:
+            values.setdefault((rec.n, name), value)
+
+    def at(n: int, name: str) -> float:
+        return values.get((n, name), float("nan"))
+
+    grid = config.n_grid
     if config.experiment == "psd_frontier":
-        slope = _aggregate(records, 0, "slope")
-        stars = [
-            _aggregate(records, n, "kappa_star") for n in config.n_grid
-        ]
-        in_range = all(
-            s is not None and np.isfinite(s) and 1e-4 <= s <= 1e-1 for s in stars
-        )
         # a one-point grid fits no slope (its slope record is NaN)
-        slope_ok = len(config.n_grid) < 2 or (slope is not None and -0.85 <= slope <= -0.45)
-        return in_range and slope_ok
+        slope_ok = len(grid) < 2 or -0.85 <= at(0, "slope") <= -0.45
+        return slope_ok and all(1e-4 <= at(n, "kappa_star") <= 1e-1 for n in grid)
     if config.experiment == "norm_scaling":
-        for name, _ in _RATIO_KINDS:
-            meds = [
-                _aggregate(records, n, f"median_{name}") for n in config.n_grid
-            ]
-            if any(m is None or not m > 0 for m in meds):  # NaN fails
-                return False
-            if max(meds) / min(meds) > 4.0:
-                return False
-        return True
+        medians = ([at(n, f"median_{name}") for n in grid] for name, _ in _RATIO_KINDS)
+        return all(all(m > 0 for m in meds) and max(meds) / min(meds) <= 4.0 for meds in medians)
     if config.experiment == "expansion_identities":
         tol = config.tol("residual", 1e-12)
-        for rec in records:
-            worst = _aggregate(records, rec.n, "max_residual")
-            scale = _aggregate(records, rec.n, "scale")
-            if worst is None or scale is None or not worst <= tol * scale:  # NaN fails
-                return False
-        return True
+        return all(at(n, "max_residual") <= tol * at(n, "scale") for n in grid)
     if config.experiment == "labeling_audit":
-        return all(
-            value == 1.0
-            for name, value in records[0].aggregates
-            if "_ok[" in name
-        )
+        return all(value == 1.0 for (_, name), value in values.items() if "_ok[" in name)
     if config.experiment == "detection":
         mode = str(config.extras.get("test", "submatrix"))
 
         def passes(n: int) -> bool:
             if mode == "comb":
-                h0 = _aggregate(records, n, "h0_fraction")
-                h1 = _aggregate(records, n, "h1_fraction")
-                return h0 is not None and h1 is not None and h1 >= 0.9 and h0 <= 0.1
-            name = "exceed_fraction" if mode == "submatrix" else "verdict_fraction"
-            frac = _aggregate(records, n, name)
-            return frac is not None and frac >= 0.9
+                return at(n, "h1_fraction") >= 0.9 and at(n, "h0_fraction") <= 0.1
+            return at(n, "exceed_fraction" if mode == "submatrix" else "verdict_fraction") >= 0.9
 
-        return all(passes(n) for n in config.n_grid)
+        return all(passes(n) for n in grid)
     if config.experiment == "w_conditions":
-        return all(
-            _aggregate(records, n, "all_positive") == 1.0 for n in config.n_grid
-        )
+        return all(at(n, "all_positive") == 1.0 for n in grid)
     raise ValueError(f"unknown experiment {config.experiment!r}")
 
 

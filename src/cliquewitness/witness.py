@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -314,13 +314,13 @@ def _extend_cliques(cliques: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     return np.column_stack([cliques[rows], extra + 1])
 
 
-def _clique_unions(adjacency: np.ndarray) -> dict:
-    """Every clique of 1-4 vertices as sorted 1-based labels, keyed by size."""
-    unions = {1: np.arange(1, adjacency.shape[0] + 1)[:, None]}
-    unions[2] = np.argwhere(np.triu(adjacency, 1)) + 1
-    for size in (3, 4):
-        unions[size] = _extend_cliques(unions[size - 1], adjacency)
-    return unions
+def _clique_unions(adjacency: np.ndarray) -> Iterator[np.ndarray]:
+    """Every clique of 1-4 vertices as sorted 1-based labels, one size at a time."""
+    cliques = np.arange(1, adjacency.shape[0] + 1)[:, None]
+    yield cliques
+    for _ in range(3):
+        cliques = _extend_cliques(cliques, adjacency)
+        yield cliques
 
 
 def _slots(ix: SubsetIndexer, index: np.ndarray) -> np.ndarray:
@@ -331,15 +331,18 @@ def _slots(ix: SubsetIndexer, index: np.ndarray) -> np.ndarray:
     return row[ix.position]
 
 
-def _unions_agree(region: np.ndarray, slots: np.ndarray, unions: dict) -> bool:
+def _unions_agree(region: np.ndarray, slots: np.ndarray, unions: Iterable[np.ndarray]) -> bool:
     """True when each listed union U takes one value at every (A, B) with A u B = U.
 
-    `unions[size]` holds one union per row as `size` vertex labels; each is
-    checked by gathering the fixed positions that produce it, one orientation
-    per position (the caller tests symmetry).  `slots` maps a subset to its
-    row of `region`; a subset outside it reads as 0.
+    `unions` yields the unions one size at a time, one per row as vertex
+    labels, and the audit returns at the first size that disagrees, before
+    the next is listed.  Each union is checked by gathering the fixed
+    positions that produce it, one orientation per position (the caller
+    tests symmetry).  `slots` maps a subset to its row of `region`; a subset
+    outside it reads as 0.
     """
-    for size, listed in unions.items():
+    for listed in unions:
+        size = listed.shape[1]
         # column 0 holds label 0, so pattern labels index the columns
         labels = np.zeros((len(listed), size + 1), dtype=np.int64)
         labels[:, 1:] = listed

@@ -305,6 +305,19 @@ def test_component_norms_match_dense():
             assert abs(got - want) <= 1e-6 * max(want, 1e-300), (n, kind.label())
 
 
+@pytest.mark.parametrize("n", [10, 40])
+@pytest.mark.parametrize("kind", [ComponentKind("J", 2, 1), ComponentKind("Jtilde", 2, 6)],
+                         ids=lambda kind: kind.label())
+def test_symmetric_dense_components_take_rect_norm(n, kind):
+    # symmetric dense components take rect_operator_norm like every other
+    # dense one: the dense SVD at n=10, the Gram operator at n=40
+    g = sample_er(n, 0.5, seed=n)
+    vals = build_component(g, PARAMS, kind).values
+    assert np.array_equal(vals, vals.T)
+    want = float(np.max(np.abs(np.linalg.eigvalsh(vals))))
+    assert abs(component_norm(g, PARAMS, kind) - want) <= 1e-6 * want
+
+
 def test_component_norm_rejects_dense_route_above_limit(monkeypatch):
     def no_dense_build(*args):
         raise AssertionError("built a dense component above the limit")

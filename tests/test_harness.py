@@ -60,8 +60,18 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must"):
             ExperimentConfig(experiment="w_conditions", n_grid=(10,), **bad)
     ExperimentConfig(experiment="w_conditions", n_grid=(10,), p=1.0)
-    # the audit runs on fixed label budgets, so an empty grid is allowed there
+    # every grid point at least the experiment's smallest n, and a nonnegative seed0
+    for experiment, least in (("psd_frontier", 4), ("norm_scaling", 4), ("detection", 4),
+                              ("expansion_identities", 5), ("w_conditions", 5)):
+        ExperimentConfig(experiment=experiment, n_grid=(least,))
+        for grid in ((least - 1,), (10, least - 1)):
+            with pytest.raises(ValueError, match="must be at least"):
+                ExperimentConfig(experiment=experiment, n_grid=grid)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        ExperimentConfig(experiment="w_conditions", n_grid=(10,), seed0=-1)
+    # the audit runs on fixed label budgets, so its grid may be empty or anything
     ExperimentConfig(experiment="labeling_audit", n_grid=())
+    ExperimentConfig(experiment="labeling_audit", n_grid=(1,))
 
 
 def test_kappa_rules():
@@ -236,6 +246,28 @@ def test_detection_cli_bytes_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
+# sha256 of --format json stdout, whose metadata echoes every config field,
+# at OpenBLAS one thread and two
+JSON_PINS = (
+    (["--experiment", "w_conditions", "--n", "1000000", "--c0", "1.0"],
+     "2351c77be38c00f5f5fc693cafe78c89e1851754b0440af0be1de6fb57123237"),
+    ({"experiment": "detection", "n_grid": [30], "trials": 2, "kappa_rule": "fixed",
+      "kappa": 0.002, "extras": {"test": "submatrix", "k": 6.0}},
+     "99db91166f97ae978eb287c51d24d01433edea08669e1ac46154c78b8d14a63f"),
+)
+
+
+@pytest.mark.parametrize("args, digest", JSON_PINS, ids=["w_conditions", "submatrix"])
+def test_json_bytes_pinned(args, digest, tmp_path, capsys):
+    if isinstance(args, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(args))
+        args = ["--config", str(path)]
+    assert main([*args, "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
 def run_python(args, **env):
     # stdout of a fresh interpreter that imports this checkout's package
     src = os.path.dirname(os.path.dirname(cliquewitness.__file__))
@@ -406,6 +438,14 @@ def test_check_records_detection_reads_every_grid_point(mode, good, bad):
     assert check_records(cfg, [detection_record(30, **good)]) is False
 
 
+def test_check_records_reads_the_first_record_of_a_repeated_point():
+    cfg = ExperimentConfig(experiment="detection", n_grid=(30, 30), extras={"test": "clique"})
+    passing = detection_record(30, verdict_fraction=1.0)
+    failing = detection_record(30, verdict_fraction=0.5)
+    assert check_records(cfg, [passing, failing]) is True
+    assert check_records(cfg, [failing, passing]) is False
+
+
 def frontier_record(n, kappa_star, slope=None):
     aggregates = []
     if kappa_star is not None:
@@ -506,11 +546,17 @@ def test_main_rejects_missing_experiment_and_bad_tol(capsys):
         main(["--experiment", "w_conditions", "--n", "100", "--tol", "oops"])
     capsys.readouterr()
     # out-of-range values end in a usage error (exit 2), not a traceback from run
-    for bad in (["--c0", "0"], ["--kappa", "-0.1"], ["--p", "0"], ["--p", "1.5"]):
+    for bad in (["--c0", "0"], ["--kappa", "-0.1"], ["--p", "0"], ["--p", "1.5"],
+                ["--seed", "-1"], ["--n", "4"]):
         with pytest.raises(SystemExit) as exc:
             main(["--experiment", "w_conditions", "--n", "20", "--trials", "1", *bad])
         assert exc.value.code == 2
         assert "must" in capsys.readouterr().err
+    for experiment, n in (("norm_scaling", "3"), ("expansion_identities", "4")):
+        with pytest.raises(SystemExit) as exc:
+            main(["--experiment", experiment, "--n", n, "--trials", "1"])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
 
 
 def test_detection_comb_via_config_file(tmp_path, capsys):

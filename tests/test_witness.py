@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -423,10 +424,28 @@ def test_union_audit_reads_zero_off_the_block():
     # the union {1, 2} on a constant region: with only the empty set and the
     # singletons as rows, ({1}, {2}) reads 0.25 and ({1, 2}, {}) reads 0
     ix = SubsetIndexer(4)
-    unions = {2: np.array([[1, 2]])}
+    unions = [np.array([[1, 2]])]
     assert not _unions_agree(np.full((5, 5), 0.25), _slots(ix, np.arange(5)), unions)
     whole = np.arange(ix.dim)
     assert _unions_agree(np.full((ix.dim, ix.dim), 0.25), _slots(ix, whole), unions)
+
+
+def test_whole_union_audit_stops_at_the_first_size_that_disagrees():
+    # mass off the block sends a dense witness to the whole-matrix audit; its
+    # one stray union disagrees below size 4, so the audit returns before it
+    # lists the C(60, 4) unions of size 4, which alone take the peak to 43 MB
+    g = sample_er(60, 0.5, seed=0)
+    mat = build_matrix(g, derive_alphas(0.01, 0.5), "M")
+    r = mat.indexer.pair_index(*_non_edge(g))
+    mat.values[r, 1] = mat.values[1, r] = 5e-324
+    tracemalloc.start()
+    try:
+        rep = check_sos_feasibility(mat, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.union_symmetric and not rep.vanishes_off_cliques
+    assert peak <= 30e6, peak
 
 
 def test_rejects_non_m_kind_feasibility():
