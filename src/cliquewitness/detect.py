@@ -32,6 +32,7 @@ __all__ = [
     "test_clique",
     "test_submatrix",
     "test_comb",
+    "check_comb_budget",
 ]
 
 
@@ -182,10 +183,7 @@ def test_comb(instance: GaussianInstance, k: int, mu: float) -> int:
     """Exhaustive baseline: 1 iff some vertex set of size at most k has
     internal entry sum at least (1/2) * C(k, 2) * mu."""
     n = instance.n
-    if n > 24 and k > 3:
-        raise ValueError(
-            f"exhaustive search budget is n <= 24 or k <= 3, got n={n}, k={k}"
-        )
+    check_comb_budget(n, k)
     threshold = 0.5 * comb(k, 2) * mu
     if threshold <= 0.0:
         return 1  # the empty set already meets a nonpositive threshold
@@ -193,6 +191,15 @@ def test_comb(instance: GaussianInstance, k: int, mu: float) -> int:
         if float(_subset_sums(instance.A, size).max()) >= threshold:
             return 1
     return 0
+
+
+def check_comb_budget(n: int, k: int) -> None:
+    """Raise ValueError unless test_comb's exhaustive search at (n, k) is
+    within its budget, n <= 24 or k <= 3."""
+    if n > 24 and k > 3:
+        raise ValueError(
+            f"exhaustive search budget is n <= 24 or k <= 3, got n={n}, k={k}"
+        )
 
 
 def _subset_sums(a: np.ndarray, size: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from math import ceil, log
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,7 +29,7 @@ from .decomposition import (
     verify_expansion_H12,
     verify_expansion_H22,
 )
-from .detect import TestConfig, test_clique, test_comb, test_submatrix
+from .detect import TestConfig, check_comb_budget, test_clique, test_comb, test_submatrix
 from .labelings import (
     build_primitive,
     constrained_family_v_star,
@@ -69,13 +69,33 @@ _KAPPA_HI = 1e-1
 # labeling audit ignores its grid.
 _MIN_N = {"expansion_identities": 5, "w_conditions": 5}
 
+# the detection extras; the last three set TestConfig fields, which keep their defaults unset
+_TEST_FIELDS = {"c_star": "c_star", "lambda": "lambda_thresh", "scaling": "scaling"}
+_DETECTION_EXTRAS = ("test", "k", "mu", "hypothesis", *_TEST_FIELDS)
+_DETECTION_MODES = ("submatrix", "comb", "clique")
+
+# the cast to each annotated field type: a config file may give an int for a float
+_CASTS = {"int": int, "float": float, "Optional[float]": lambda v: v if v is None else float(v),
+          "Tuple[int, ...]": lambda grid: tuple(int(n) for n in grid), "Mapping[str, float]": dict}
+
+
+def _detection_extras(extras: Mapping[str, float]) -> Tuple[str, float, str]:
+    """The detection mode, clique size k and hypothesis a config's extras set."""
+    return (str(extras.get("test", "submatrix")), float(extras.get("k", 6.0)),
+            str(extras.get("hypothesis", "H0")))
+
+
+def _test_settings(extras: Mapping[str, float]) -> Dict[str, float]:
+    """The TestConfig fields a config's extras set."""
+    return {name: float(extras[key]) for key, name in _TEST_FIELDS.items() if key in extras}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment invocation; every field is echoed into output metadata."""
 
     experiment: str
-    n_grid: Tuple[int, ...]
+    n_grid: Tuple[int, ...] = ()
     p: float = 0.5
     kappa_rule: str = "theorem1"
     kappa: Optional[float] = None
@@ -88,6 +108,9 @@ class ExperimentConfig:
     extras: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type in _CASTS:
+                object.__setattr__(self, f.name, _CASTS[f.type](getattr(self, f.name)))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
@@ -109,12 +132,35 @@ class ExperimentConfig:
             )
         if self.kappa_rule == "fixed" and self.kappa is None:
             raise ValueError("kappa_rule 'fixed' requires kappa")
+        if self.kappa_rule == "binary_search" and self.experiment != "psd_frontier":
+            raise ValueError("kappa_rule 'binary_search' applies to psd_frontier only")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         for name in ("kappa", "c0", "constant"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if self.experiment == "detection":
+            self._check_detection()
+
+    def _check_detection(self) -> None:
+        unknown = sorted(set(self.extras) - set(_DETECTION_EXTRAS))
+        if unknown:
+            raise ValueError(f"unknown detection extras {unknown}; choose from {_DETECTION_EXTRAS}")
+        mode, k, hypothesis = _detection_extras(self.extras)
+        if mode not in _DETECTION_MODES:
+            raise ValueError(f"unknown detection mode {mode!r}; choose from {_DETECTION_MODES}")
+        if hypothesis not in ("H0", "H1"):
+            raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
+        TestConfig(**_test_settings(self.extras))  # its own range checks
+        float(self.extras.get("mu", 0.0))  # mu, when set, is a number
+        # comb and the submatrix test under H1 plant int(k) of the n vertices
+        planted = mode == "comb" or (mode == "submatrix" and hypothesis == "H1")
+        for n in self.n_grid:
+            if mode == "comb":
+                check_comb_budget(n, int(k))
+            if planted and not 1 <= int(k) <= n:
+                raise ValueError(f"k must lie in [1, n] for a planted instance, got k={k}, n={n}")
 
     def kappa_for(self, n: int) -> float:
         if self.kappa_rule == "fixed":
@@ -158,6 +204,11 @@ def _record(config: ExperimentConfig, n: int, kappa: float, per_seed: Sequence,
         aggregates=tuple(aggregates),
         wall_clock=0.0 if t0 is None else time.perf_counter() - t0,
     )
+
+
+def _column(per_seed: Sequence[Tuple[int, str, float]], name: str) -> List[float]:
+    """The per-seed values of one metric, in seed order."""
+    return [value for _, metric, value in per_seed if metric == name]
 
 
 def _frontier_for_n(config: ExperimentConfig, n: int) -> Tuple[float, List[int]]:
@@ -249,7 +300,6 @@ def _run_norm_scaling(config: ExperimentConfig) -> List[ResultRecord]:
             "ratio_J1sum": params.alpha4 * config.p**3 * nbar**1.5,
         }
         per_seed = []
-        columns: Dict[str, List[float]] = {name: [] for name, _ in _RATIO_KINDS}
         for t in range(config.trials):
             seed = config.seed0 + t
             graph = sample_er(n, config.p, seed=seed)
@@ -260,10 +310,9 @@ def _run_norm_scaling(config: ExperimentConfig) -> List[ResultRecord]:
                     norm = component_norm(graph, params, kind)
                 ratio = norm / scales[name]
                 per_seed.append((seed, name, float(ratio)))
-                columns[name].append(float(ratio))
         aggregates = tuple(
-            (f"median_{name}", float(np.median(vals)))
-            for name, vals in columns.items()
+            (f"median_{name}", float(np.median(_column(per_seed, name))))
+            for name, _ in _RATIO_KINDS
         )
         records.append(_record(config, n, kappa, per_seed, aggregates, t0))
     return records
@@ -276,7 +325,6 @@ def _run_expansion_identities(config: ExperimentConfig) -> List[ResultRecord]:
         kappa = config.kappa_for(n)
         params = derive_alphas(kappa, config.p)
         per_seed = []
-        worst = 0.0
         for t in range(config.trials):
             seed = config.seed0 + t
             graph = sample_er(n, config.p, seed=seed)
@@ -284,17 +332,18 @@ def _run_expansion_identities(config: ExperimentConfig) -> List[ResultRecord]:
             r12 = verify_expansion_H12(graph, params)
             per_seed.append((seed, "residual_H22", float(r22)))
             per_seed.append((seed, "residual_H12", float(r12)))
-            worst = np.max((worst, r22, r12))  # a NaN residual stays NaN
+        # np.max keeps a NaN residual
+        worst = np.max(_column(per_seed, "residual_H22") + _column(per_seed, "residual_H12"))
         aggregates = (("max_residual", float(worst)), ("scale", float(params.alpha2)))
         records.append(_record(config, n, kappa, per_seed, aggregates, t0))
     return records
 
 
-# the audited labeling table: (tag, builder, expected v*, exact?)
 _AUDIT_COUNT_N = 12
 
 
 def _labeling_cases():
+    """The audited labeling table: (tag, builder, expected v*, exact?)."""
     for m in range(1, 6):
         yield f"cycle,m={m}", [build_primitive("cycle", 2 * m)], m + 1, True
     for m in range(1, 4):
@@ -335,21 +384,13 @@ def _run_labeling_audit(config: ExperimentConfig) -> List[ResultRecord]:
 
 
 def _run_detection(config: ExperimentConfig) -> List[ResultRecord]:
-    mode = str(config.extras.get("test", "submatrix"))
+    mode, k, hypothesis = _detection_extras(config.extras)
     records = []
     for n in config.n_grid:
         t0 = time.perf_counter()
         kappa = config.kappa_for(n)
-        test_config = TestConfig(
-            c_star=float(config.extras.get("c_star", 0.5)),
-            lambda_thresh=float(config.extras.get("lambda", 1.0)),
-            scaling=float(config.extras.get("scaling", 1.0)),
-            kappa=kappa,
-        )
-        k = float(config.extras.get("k", 6.0))
-        hypothesis = str(config.extras.get("hypothesis", "H0"))
+        test_config = TestConfig(kappa=kappa, **_test_settings(config.extras))
         per_seed = []
-        verdicts: List[float] = []
         if mode == "submatrix":
             p_eff = test_config.edge_probability()
             phi = test_config.threshold_density()
@@ -374,43 +415,33 @@ def _run_detection(config: ExperimentConfig) -> List[ResultRecord]:
                 per_seed.append((seed, "verdict", float(out.verdict)))
                 per_seed.append((seed, "weighted", out.statistic_weighted))
                 per_seed.append((seed, "feasible", float(out.feasibility)))
-                verdicts.append(float(out.verdict))
                 exceeds.append(float(out.statistic_weighted >= out.threshold_used))
             aggregates = (
-                ("verdict_fraction", float(np.mean(verdicts))),
+                ("verdict_fraction", float(np.mean(_column(per_seed, "verdict")))),
                 ("exceed_fraction", float(np.mean(exceeds))),
                 ("mu", mu),
             )
         elif mode == "comb":
             mu = float(config.extras.get("mu", 2.0))
-            h0_hits: List[float] = []
-            h1_hits: List[float] = []
             for t in range(config.trials):
                 seed = config.seed0 + t
                 null = sample_gaussian(n, 0.0, None, "H0", seed)
                 alt = sample_gaussian(n, mu, int(k), "H1", seed)
-                v0 = float(test_comb(null, int(k), mu))
-                v1 = float(test_comb(alt, int(k), mu))
-                per_seed.append((seed, "comb_H0", v0))
-                per_seed.append((seed, "comb_H1", v1))
-                h0_hits.append(v0)
-                h1_hits.append(v1)
+                per_seed.append((seed, "comb_H0", float(test_comb(null, int(k), mu))))
+                per_seed.append((seed, "comb_H1", float(test_comb(alt, int(k), mu))))
             aggregates = (
-                ("h0_fraction", float(np.mean(h0_hits))),
-                ("h1_fraction", float(np.mean(h1_hits))),
+                ("h0_fraction", float(np.mean(_column(per_seed, "comb_H0")))),
+                ("h1_fraction", float(np.mean(_column(per_seed, "comb_H1")))),
                 ("mu", mu),
             )
-        elif mode == "clique":
+        else:  # clique
             for t in range(config.trials):
                 seed = config.seed0 + t
                 graph = sample_er(n, config.p, seed=seed)
                 out = test_clique(graph, test_config, k)
                 per_seed.append((seed, "verdict", float(out.verdict)))
                 per_seed.append((seed, "feasible", float(out.feasibility)))
-                verdicts.append(float(out.verdict))
-            aggregates = (("verdict_fraction", float(np.mean(verdicts))),)
-        else:
-            raise ValueError(f"unknown detection mode {mode!r}")
+            aggregates = (("verdict_fraction", float(np.mean(_column(per_seed, "verdict")))),)
         records.append(_record(config, n, kappa, per_seed, aggregates, t0))
     return records
 
@@ -550,7 +581,7 @@ def check_records(config: ExperimentConfig, records: Sequence[ResultRecord]) -> 
     if config.experiment == "labeling_audit":
         return all(value == 1.0 for (_, name), value in values.items() if "_ok[" in name)
     if config.experiment == "detection":
-        mode = str(config.extras.get("test", "submatrix"))
+        mode = _detection_extras(config.extras)[0]
 
         def passes(n: int) -> bool:
             if mode == "comb":
@@ -579,22 +610,23 @@ def _parse_tolerances(entries: Sequence[str]) -> Dict[str, float]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # a flag's dest, where it names an ExperimentConfig field, is the field it sets
     parser = argparse.ArgumentParser(
         prog="cliquewitness",
         description="Witness positivity and detection experiments.",
     )
     parser.add_argument("--experiment", choices=EXPERIMENTS)
-    parser.add_argument(
-        "--n", action="append", type=int, help="grid point; repeat for a grid"
-    )
+    parser.add_argument("--n", dest="n_grid", metavar="N", action="append", type=int,
+                        help="grid point; repeat for a grid")
     parser.add_argument("--p", type=float)
     parser.add_argument("--kappa", type=float, help="fixed witness scale")
     parser.add_argument(
         "--c0", type=float, help="scale constant for kappa = c0 n^(-2/3)/log n"
     )
     parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int, help="base seed (seed0)")
-    parser.add_argument("--out", help="output file path (default: stdout)")
+    parser.add_argument("--seed", dest="seed0", metavar="SEED", type=int, help="base seed (seed0)")
+    parser.add_argument("--out", dest="output_path", metavar="OUT",
+                        help="output file path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument(
         "--tol",
@@ -613,41 +645,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base: Dict[str, object] = {}
+    merged: Dict[str, object] = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    experiment = args.experiment or base.get("experiment")
-    if experiment is None:
-        raise ValueError("an experiment must be named via --experiment or --config")
-    n_grid = args.n if args.n else base.get("n_grid", [])
-    kappa = args.kappa if args.kappa is not None else base.get("kappa")
-    c0 = args.c0 if args.c0 is not None else base.get("c0")
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    names = {f.name for f in fields(ExperimentConfig)}
+    merged.update((name, value) for name, value in vars(args).items()
+                  if name in names and value is not None)
     if args.kappa is not None:
-        kappa_rule = "fixed"
+        merged["kappa_rule"] = "fixed"
     elif args.c0 is not None:
-        kappa_rule = "theorem1"
-    else:
-        kappa_rule = base.get(
-            "kappa_rule",
-            "binary_search" if experiment == "psd_frontier" else "theorem1",
-        )
-    tolerances = dict(base.get("tolerances", {}))
-    tolerances.update(_parse_tolerances(args.tol))
-    return ExperimentConfig(
-        experiment=str(experiment),
-        n_grid=tuple(int(v) for v in n_grid),
-        p=float(args.p if args.p is not None else base.get("p", 0.5)),
-        kappa_rule=str(kappa_rule),
-        kappa=None if kappa is None else float(kappa),
-        c0=float(c0 if c0 is not None else base.get("c0", 0.25) or 0.25),
-        constant=float(base.get("constant", 1.0)),
-        trials=int(args.trials if args.trials is not None else base.get("trials", 10)),
-        seed0=int(args.seed if args.seed is not None else base.get("seed0", 0)),
-        tolerances=tolerances,
-        output_path=args.out or base.get("output_path"),
-        extras=dict(base.get("extras", {})),
-    )
+        merged["kappa_rule"] = "theorem1"
+    elif merged.get("experiment") == "psd_frontier":
+        merged.setdefault("kappa_rule", "binary_search")
+    merged["tolerances"] = {**merged.get("tolerances", {}), **_parse_tolerances(args.tol)}
+    return ExperimentConfig(**merged)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -655,7 +669,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         parser.error(str(exc))
     records = run(config)
     fmt = args.format or "csv"

@@ -387,10 +387,9 @@ def certified_factorization(a: np.ndarray, tol: float, asym_term: float = 0.0) -
 # ----------------------------------------------------------------------
 
 
-def sym_operator_norm(op: Union[np.ndarray, LinearOperator]) -> float:
-    """Spectral norm of a symmetric matrix or LinearOperator.
+def sym_operator_norm(op: LinearOperator) -> float:
+    """Spectral norm of a symmetric LinearOperator.
 
-    A matrix of at most _DENSE_EIG_CUTOFF rows goes to eigvalsh.  Otherwise
     ARPACK runs to tol 1e-6 from the start vector of seed 0, then of
     seeds 1 and 2 if it does not converge, and raises RuntimeError after
     the third.  An operator that sends two random vectors to zero has
@@ -400,10 +399,6 @@ def sym_operator_norm(op: Union[np.ndarray, LinearOperator]) -> float:
     # loaded on first use, not at package import
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    if isinstance(op, np.ndarray):
-        if op.shape[0] <= _DENSE_EIG_CUTOFF:
-            return float(np.max(np.abs(eigvalsh(op))))
-        op = LinearOperator(op.shape, matvec=op.__matmul__, dtype=float)
     dim = op.shape[0]
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal(dim)

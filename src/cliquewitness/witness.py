@@ -52,6 +52,8 @@ __all__ = [
 _ROW_CHUNK = 128
 # rows per np.take of a fill; bounds the intp copy of the codes it makes
 _FILL_ROWS = 256
+# rows per array of listed unions; bounds the union audit's gathers
+_UNION_ROWS = 1 << 14
 OFF_SUPPORT = 5  # the code of an entry off the support
 
 
@@ -315,12 +317,21 @@ def _extend_cliques(cliques: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
 
 
 def _clique_unions(adjacency: np.ndarray) -> Iterator[np.ndarray]:
-    """Every clique of 1-4 vertices as sorted 1-based labels, one size at a time."""
+    """Every clique of 1-4 vertices as sorted 1-based labels, by size, in
+    arrays of at most _UNION_ROWS rows; only sizes 2 and 3 are held whole."""
     cliques = np.arange(1, adjacency.shape[0] + 1)[:, None]
     yield cliques
-    for _ in range(3):
-        cliques = _extend_cliques(cliques, adjacency)
-        yield cliques
+    step = max(1, _UNION_ROWS // adjacency.shape[0])  # a clique has at most n extensions
+    for size in (2, 3, 4):
+        kept = []
+        # one empty chunk when no clique is left to extend
+        for start in range(0, len(cliques) or 1, step):
+            chunk = _extend_cliques(cliques[start : start + step], adjacency)
+            yield chunk
+            if size < 4:
+                kept.append(chunk)
+        if kept:
+            cliques = np.concatenate(kept)
 
 
 def _slots(ix: SubsetIndexer, index: np.ndarray) -> np.ndarray:
@@ -334,9 +345,9 @@ def _slots(ix: SubsetIndexer, index: np.ndarray) -> np.ndarray:
 def _unions_agree(region: np.ndarray, slots: np.ndarray, unions: Iterable[np.ndarray]) -> bool:
     """True when each listed union U takes one value at every (A, B) with A u B = U.
 
-    `unions` yields the unions one size at a time, one per row as vertex
-    labels, and the audit returns at the first size that disagrees, before
-    the next is listed.  Each union is checked by gathering the fixed
+    `unions` yields arrays of unions, one per row as vertex labels, and the
+    audit returns at the first array that disagrees, before the next is
+    listed.  Each union is checked by gathering the fixed
     positions that produce it, one orientation per position (the caller
     tests symmetry).  `slots` maps a subset to its row of `region`; a subset
     outside it reads as 0.

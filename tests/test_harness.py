@@ -74,6 +74,20 @@ def test_config_validation():
     ExperimentConfig(experiment="labeling_audit", n_grid=(1,))
 
 
+def test_config_casts_each_field_to_its_type():
+    # a config file may give ints for floats and a list for the grid
+    tolerances = {"psd": 1}
+    cfg = ExperimentConfig(experiment="detection", n_grid=[30, 40.0], p=1, kappa_rule="fixed",
+                           kappa=1, c0=2, constant=3, trials=2.0, seed0=1.0,
+                           tolerances=tolerances, extras={"k": 3})
+    assert (cfg.n_grid, cfg.trials, cfg.seed0) == ((30, 40), 2, 1)
+    assert [type(v) for v in (cfg.p, cfg.kappa, cfg.c0, cfg.constant)] == [float] * 4
+    assert [type(v) for v in cfg.n_grid + (cfg.trials, cfg.seed0)] == [int] * 4
+    assert cfg.tolerances == tolerances and cfg.tolerances is not tolerances
+    assert cfg.extras == {"k": 3}
+    assert ExperimentConfig(experiment="w_conditions", n_grid=(10,)).kappa is None
+
+
 def test_kappa_rules():
     fixed = ExperimentConfig(
         experiment="w_conditions", n_grid=(50,), kappa_rule="fixed", kappa=0.01
@@ -203,7 +217,8 @@ def test_frontier_builds_one_code_table_per_graph(monkeypatch):
 # sha256 of the CSVs these configs print.  The detection digests predate the
 # block form of the witness, the expansion and audit digests the one subset
 # layout in SubsetIndexer, the frontier digest the one clique structure
-# behind every kind-M witness; each route must reproduce them byte for byte.
+# behind every kind-M witness, the comb and H1-settings digests the config
+# built from one merged mapping; each route must reproduce them byte for byte.
 # They hold with OpenBLAS at one thread and at two (the default on 2 vCPUs)
 CLI_PINS = {
     "submatrix_feasible": (
@@ -220,6 +235,17 @@ CLI_PINS = {
         {"experiment": "detection", "n_grid": [20], "trials": 4, "kappa_rule": "fixed",
          "kappa": 0.02, "extras": {"test": "clique", "k": 0.4}},
         "237b0ed50f63083d952bc9598b2f3e9a1df616cb60ff1104b6d4625ebefc792b",
+    ),
+    "comb": (
+        {"experiment": "detection", "n_grid": [12, 20], "trials": 5,
+         "extras": {"test": "comb", "k": 6.0, "mu": 2.0}},
+        "1e184122a7d89e4a2cd158c1d644d5cca6c0afb6cf99494365338f669c4bed85",
+    ),
+    "submatrix_h1_settings": (
+        {"experiment": "detection", "n_grid": [30], "trials": 3, "kappa_rule": "fixed",
+         "kappa": 0.002, "extras": {"test": "submatrix", "k": 6.0, "hypothesis": "H1",
+                                    "c_star": 0.4, "lambda": 0.8, "scaling": 0.7}},
+        "ab3cb2999c37c9d8d16078c7285de77d075b803edd38091cb033a9851617abb9",
     ),
     "expansion_identities": (
         {"experiment": "expansion_identities", "n_grid": [15, 30], "trials": 3},
@@ -432,7 +458,9 @@ def detection_record(n, **aggregates):
      {"h0_fraction": 0.3, "h1_fraction": 1.0}),
 ])
 def test_check_records_detection_reads_every_grid_point(mode, good, bad):
-    cfg = ExperimentConfig(experiment="detection", n_grid=(30, 60), extras={"test": mode})
+    # k = 3 keeps comb's exhaustive search at n = 60 within its budget
+    cfg = ExperimentConfig(experiment="detection", n_grid=(30, 60),
+                           extras={"test": mode, "k": 3})
     assert check_records(cfg, [detection_record(30, **good), detection_record(60, **good)]) is True
     assert check_records(cfg, [detection_record(30, **good), detection_record(60, **bad)]) is False
     assert check_records(cfg, [detection_record(30, **good)]) is False
@@ -557,6 +585,42 @@ def test_main_rejects_missing_experiment_and_bad_tol(capsys):
             main(["--experiment", experiment, "--n", n, "--trials", "1"])
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
+
+
+def detection_config(**extras):
+    return {"experiment": "detection", "n_grid": [10], "trials": 1, "extras": extras}
+
+
+# config files that name an unknown field or an out-of-range value; each ends
+# in a usage error before anything runs
+BAD_CONFIGS = {
+    "misspelled_fields": {"experiment": "w_conditions", "n_grid": [10], "trails": 3,
+                          "constnt": 2},
+    "unknown_extra": detection_config(test="comb", k=3, muu=2.0),
+    "unknown_mode": detection_config(test="nope"),
+    "unknown_hypothesis": detection_config(hypothesis="H2"),
+    "mu_not_a_number": detection_config(test="comb", k=3, mu="big"),
+    "c_star_zero": detection_config(c_star=0.0),
+    "scaling_above_one": detection_config(scaling=1.5),
+    "scaling_negative": detection_config(scaling=-0.1),
+    "comb_over_budget": {**detection_config(test="comb", k=6, mu=2.0), "n_grid": [20, 30]},
+    "comb_k_above_n": {**detection_config(test="comb", k=8), "n_grid": [6]},
+    "comb_k_zero": detection_config(test="comb", k=0),
+    "planted_k_above_n": {**detection_config(hypothesis="H1", k=12), "n_grid": [30, 10]},
+    "binary_search_off_frontier": {"experiment": "norm_scaling", "n_grid": [10],
+                                   "kappa_rule": "binary_search"},
+    "not_an_object": [{"experiment": "w_conditions", "n_grid": [10]}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_is_a_usage_error(name, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BAD_CONFIGS[name]))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_detection_comb_via_config_file(tmp_path, capsys):

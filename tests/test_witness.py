@@ -13,6 +13,7 @@ from cliquewitness.params import WitnessParams, derive_alphas
 from cliquewitness.spectral import psd_check
 from cliquewitness.subsets import SubsetIndexer
 from cliquewitness.witness import (
+    _clique_unions,
     _slots,
     _unions_agree,
     build_block,
@@ -446,6 +447,34 @@ def test_whole_union_audit_stops_at_the_first_size_that_disagrees():
         tracemalloc.stop()
     assert not rep.union_symmetric and not rep.vanishes_off_cliques
     assert peak <= 30e6, peak
+
+
+def test_whole_union_audit_lists_unions_in_bounded_chunks():
+    # a complete-graph witness agrees on every union, so auditing it whole
+    # lists all C(60, 4) unions of size 4; listed at once they took 63 MB
+    n = 60
+    complete = GraphInstance(n, 0.5, ~np.eye(n, dtype=bool))
+    mat = build_matrix(complete, derive_alphas(0.01, 0.5), "M")
+    slots = _slots(mat.indexer, np.arange(mat.indexer.dim))
+    tracemalloc.start()
+    try:
+        agree = _unions_agree(mat.values, slots, _clique_unions(np.ones((n, n), dtype=bool)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert agree
+    assert peak <= 8e6, peak
+    # the chunks of each size, in order, are that size's whole listing
+    edgeless = GraphInstance(6, 0.5, np.zeros((6, 6), dtype=bool))
+    for graph in (complete, sample_er(30, 0.5, seed=3), edgeless):
+        whole = [np.arange(1, graph.n + 1)[:, None]]
+        for _ in range(3):
+            whole.append(witness._extend_cliques(whole[-1], graph.adjacency))
+        chunks = list(_clique_unions(graph.adjacency))
+        assert all(len(c) <= witness._UNION_ROWS for c in chunks)
+        for size, level in enumerate(whole, start=1):
+            got = [c for c in chunks if c.shape[1] == size]
+            assert np.array_equal(np.concatenate(got), level), (graph.n, size)
 
 
 def test_rejects_non_m_kind_feasibility():
