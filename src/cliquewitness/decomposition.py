@@ -15,6 +15,9 @@ deviation minus the component sum is floating-point zero, which pins down the
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, prod
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -26,6 +29,7 @@ from .params import WitnessParams
 from .spectral import (
     ProjectorFamily,
     _pairs_count,
+    blas_threads,
     expected_rows,
     rect_operator_norm,
     sym_operator_norm,
@@ -129,11 +133,6 @@ class ComponentMatrix:
     kind: ComponentKind
     values: np.ndarray
     prefactor: float
-
-
-def _pair_products(g: np.ndarray, hi: np.ndarray, ti: np.ndarray) -> np.ndarray:
-    """The pair-product factor a[i, (k, l)] = g_ik g_il over the given pairs."""
-    return g[:, hi] * g[:, ti]
 
 
 def _prefactor(kind: ComponentKind, params: WitnessParams) -> float:
@@ -262,6 +261,62 @@ def _component_blocks(
 # order in which the matvec sums its BLAS-3 products
 _PAIR_CHUNK = 2048
 
+# the threads that run shares 1.. of the J(4,1) matvec, started on first use
+_share_pool: Optional[ThreadPoolExecutor] = None
+_share_pool_lock = threading.Lock()
+
+
+def _forget_share_pool() -> None:
+    # a forked child has none of the parent's threads: it starts its own pool
+    global _share_pool
+    _share_pool = None
+
+
+os.register_at_fork(after_in_child=_forget_share_pool)
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _share_pool
+    with _share_pool_lock:
+        if _share_pool is None:
+            workers = max(1, len(os.sched_getaffinity(0)) - 1)
+            _share_pool = ThreadPoolExecutor(workers, thread_name_prefix="j41-share")
+        return _share_pool
+
+
+def _share_count(chunks: int) -> int:
+    """How many shares the J(4,1) matvec splits its pair chunks into.
+
+    One per available CPU, at most one per chunk, when BLAS runs one
+    thread; otherwise 1, also when the thread count cannot be read, since
+    concurrent products under a multi-threaded OpenBLAS ran slower than one
+    product at a time.
+    """
+    if blas_threads() != 1:
+        return 1
+    return min(chunks, len(os.sched_getaffinity(0)))
+
+
+def _pair_factor(g: np.ndarray, heads: np.ndarray, tails: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The pair-product factor a[i, (k, l)] = g_ik g_il over the given pairs,
+    an F-ordered (n, pairs) array (written into out when given).
+
+    The pairs must follow the indexer's order, where the pairs of one head
+    k are consecutive with consecutive tails l0..l1-1.  Each such run is one
+    product of rows, g[k] * g[l0:l1], into the run's columns: g is
+    symmetric (GraphInstance checks its adjacency), so row k is column k bit
+    for bit, and the factor equals g[:, heads] * g[:, tails].
+    """
+    if out is None:
+        out = np.empty((g.shape[0], heads.size), order="F")
+    rows = out.T
+    starts = np.flatnonzero(np.diff(heads)) + 1
+    for c0, c1 in zip([0, *starts], [*starts, heads.size]):
+        k, l0 = heads[c0], tails[c0]
+        np.multiply(g[k:k + 1], g[l0:l0 + c1 - c0], out=rows[c0:c1])
+    return out
+
 
 def component_operator(
     graph: GraphInstance, params: WitnessParams, kind: ComponentKind
@@ -270,10 +325,16 @@ def component_operator(
 
     J(4,1) v is alpha4 (a diag(v) a^T) read at the pairs, for the
     pair-product factor a[i, (k, l)] = g_ik g_il: one BLAS-3 product per
-    _PAIR_CHUNK pair columns.  The operator builds the factor chunks once
-    and holds them, n C(n, 2) floats; the matvec only reads them.  Other
-    single components have no operator; the class-1 relaxed sum has its own
-    below.
+    _PAIR_CHUNK pair columns, summed in chunk order.  The matvec splits the
+    chunks into _share_count shares, share w taking chunks w, w + S, ...:
+    the calling thread runs share 0 from factor chunks the operator builds
+    once and holds, and the pool runs each other share, which rebuilds its
+    chunks at every call into two buffers of its own.  Every product is
+    the same BLAS call on the same F-ordered operands as with one share, so
+    the result is bit for bit the same; with one share the calling thread
+    makes every call and no thread starts.  Calls on one operator must not
+    overlap, since they share its buffers.  Other single components have
+    no operator; the class-1 relaxed sum has its own below.
     """
     from scipy.sparse.linalg import LinearOperator  # loaded on first use, not at package import
 
@@ -293,16 +354,41 @@ def component_operator(
 
     elif kind.eta == 4:
         a4 = params.alpha4
-        chunks = []
-        for lo in range(0, npairs, _PAIR_CHUNK):
-            cols = slice(lo, lo + _PAIR_CHUNK)
-            chunks.append((cols, _pair_products(g, hi[cols], ti[cols])))
+        chunks = [slice(lo, lo + _PAIR_CHUNK) for lo in range(0, npairs, _PAIR_CHUNK)]
+        shares = _share_count(len(chunks))
+        held = [_pair_factor(g, hi[cols], ti[cols]) for cols in chunks[::shares]]
+        # with several shares, share 0 scales into one held buffer and share w
+        # rebuilds and scales into buffers 2w - 1 and 2w (new arrays at each
+        # call took 3 of the 8 ms of a matvec at n = 141 on 2 vCPUs); one
+        # share scales into a new array per chunk, so a norm peaks as before
+        width = min(npairs, _PAIR_CHUNK)
+        count = 2 * shares - 1 if shares > 1 else 0
+        buffers = [np.empty((n, width), order="F") for _ in range(count)]
+
+        def product(a: np.ndarray, v: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+            return np.multiply(a, v, out=buffer[:, :v.size]) @ a.T
+
+        def rebuilt_products(share: int, v: np.ndarray) -> List[np.ndarray]:
+            factor, scaled = buffers[2 * share - 1:2 * share + 1]
+            out = []
+            for cols in chunks[share::shares]:
+                heads, tails = hi[cols], ti[cols]
+                a = _pair_factor(g, heads, tails, out=factor[:, :heads.size])
+                out.append(product(a, v[cols], scaled))
+            return out
 
         def matvec(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v).ravel()
             s = np.zeros((n, n))
-            for cols, a in chunks:
-                s += (a * v[cols]) @ a.T
+            if shares == 1:
+                for cols, a in zip(chunks, held):
+                    s += (a * v[cols]) @ a.T
+                return a4 * s[hi, ti]
+            futures = [_pool().submit(rebuilt_products, w, v) for w in range(1, shares)]
+            own = [product(a, v[cols], buffers[0]) for cols, a in zip(chunks[::shares], held)]
+            products = [own] + [future.result() for future in futures]
+            for c in range(len(chunks)):
+                s += products[c % shares][c // shares]
             return a4 * s[hi, ti]
 
     else:

@@ -74,9 +74,19 @@ _TEST_FIELDS = {"c_star": "c_star", "lambda": "lambda_thresh", "scaling": "scali
 _DETECTION_EXTRAS = ("test", "k", "mu", "hypothesis", *_TEST_FIELDS)
 _DETECTION_MODES = ("submatrix", "comb", "clique")
 
-# the cast to each annotated field type: a config file may give an int for a float
-_CASTS = {"int": int, "float": float, "Optional[float]": lambda v: v if v is None else float(v),
-          "Tuple[int, ...]": lambda grid: tuple(int(n) for n in grid), "Mapping[str, float]": dict}
+
+def _whole(value: object) -> int:
+    """value as an int, refusing a float with a fraction (30.0 reads 30)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value}")
+    return int(value)
+
+
+# the cast to each annotated field type: a config file may give an int for a
+# float, or a whole float for an int
+_CASTS = {"int": _whole, "float": float, "Optional[float]": lambda v: v if v is None else float(v),
+          "Tuple[int, ...]": lambda grid: tuple(_whole(n) for n in grid),
+          "Mapping[str, float]": dict}
 
 
 def _detection_extras(extras: Mapping[str, float]) -> Tuple[str, float, str]:
@@ -110,7 +120,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             if f.type in _CASTS:
-                object.__setattr__(self, f.name, _CASTS[f.type](getattr(self, f.name)))
+                try:
+                    object.__setattr__(self, f.name, _CASTS[f.type](getattr(self, f.name)))
+                except (ValueError, TypeError) as exc:
+                    raise type(exc)(f"{f.name}: {exc}") from None
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
@@ -134,6 +147,10 @@ class ExperimentConfig:
             raise ValueError("kappa_rule 'fixed' requires kappa")
         if self.kappa_rule == "binary_search" and self.experiment != "psd_frontier":
             raise ValueError("kappa_rule 'binary_search' applies to psd_frontier only")
+        if self.experiment == "psd_frontier" and (
+                self.kappa_rule != "binary_search" or self.kappa is not None):
+            raise ValueError("psd_frontier bisects kappa, so it takes kappa_rule "
+                             "'binary_search' and no kappa (--kappa and --c0 set other rules)")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         for name in ("kappa", "c0", "constant"):
@@ -142,6 +159,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.experiment == "detection":
             self._check_detection()
+        elif self.extras:
+            raise ValueError(f"extras apply to detection only, got {sorted(self.extras)} "
+                             f"for {self.experiment}")
 
     def _check_detection(self) -> None:
         unknown = sorted(set(self.extras) - set(_DETECTION_EXTRAS))

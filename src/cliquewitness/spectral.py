@@ -10,7 +10,11 @@ and the certification utilities built on top of them.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
+from functools import cache
 from math import comb, fsum, log, sqrt
 from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
@@ -385,6 +389,30 @@ def certified_factorization(a: np.ndarray, tol: float, asym_term: float = 0.0) -
 # ----------------------------------------------------------------------
 # operator norms (shared by the deviation-component probes)
 # ----------------------------------------------------------------------
+
+
+@cache
+def _openblas_thread_query() -> Optional[Callable[[], int]]:
+    # numpy's wheel bundles its OpenBLAS beside the package, in numpy.libs
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    try:
+        query = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    query.argtypes = []
+    query.restype = ctypes.c_int
+    return query
+
+
+def blas_threads() -> Optional[int]:
+    """The thread count numpy's bundled OpenBLAS runs its calls on, read
+    from that library's own query at each call; None when numpy bundles no
+    such library or it lacks the query.  Reading never sets the count."""
+    query = _openblas_thread_query()
+    return None if query is None else int(query())
 
 
 def sym_operator_norm(op: LinearOperator) -> float:

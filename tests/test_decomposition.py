@@ -1,5 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from cliquewitness.decomposition import (
     _COMPONENT_ROW_CHUNK,
     _DENSE_COMPONENT_LIMIT,
     _PAIR_CHUNK,
+    _pair_factor,
     build_component,
     class1_sum_norm,
     class1_sum_operator,
@@ -264,6 +270,125 @@ def test_j41_norm_equals_reference_operator_norm(n):
     want = sym_operator_norm(
         LinearOperator((npairs, npairs), matvec=ref, rmatvec=ref, dtype=np.float64))
     assert component_norm(g, PARAMS, ComponentKind("J", 4, 1)) == want
+
+
+@pytest.mark.parametrize("n", [5, 66, 141])  # one partial chunk; one full chunk; five chunks
+def test_pair_factor_equals_the_gathered_product(n):
+    g = sample_er(n, 0.5, seed=n).centered
+    hi, ti = SubsetIndexer(n).pair_ends
+    wide = np.full((n, _PAIR_CHUNK + 3), np.nan, order="F")
+    for lo in range(0, hi.size, _PAIR_CHUNK):
+        heads, tails = hi[lo:lo + _PAIR_CHUNK], ti[lo:lo + _PAIR_CHUNK]
+        want = g[:, heads] * g[:, tails]
+        got = _pair_factor(g, heads, tails)
+        assert got.flags.f_contiguous and np.array_equal(got, want)
+        # into a leading slice of a wider buffer, as a rebuilding share does
+        into = _pair_factor(g, heads, tails, out=wide[:, :heads.size])
+        assert into.flags.f_contiguous and np.array_equal(into, want)
+        assert np.shares_memory(into, wide)
+
+
+def run_fresh(script, blas_threads):
+    # a fresh interpreter, since OpenBLAS reads its thread count when it loads;
+    # the script imports this checkout's package and this test module
+    src = os.path.dirname(os.path.dirname(decomposition.__file__))
+    path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_j41_shares_are_bit_identical_to_the_reference_at_one_blas_thread():
+    # one BLAS thread on two CPUs or more: share 1 runs on the pool and
+    # rebuilds its chunks, yet every product and the norm keep their bits
+    script = """
+import os, threading
+import numpy as np
+from scipy.sparse.linalg import LinearOperator
+from cliquewitness import decomposition
+from cliquewitness.decomposition import ComponentKind, component_norm, component_operator
+from cliquewitness.models import sample_er
+from cliquewitness.spectral import blas_threads, sym_operator_norm
+from test_decomposition import PARAMS, reference_j41_matvec
+
+cpus = len(os.sched_getaffinity(0))
+assert blas_threads() == 1
+assert (decomposition._share_count(2), decomposition._share_count(5)) == (2, min(5, cpus))
+kind = ComponentKind("J", 4, 1)
+for n in (75, 141):  # two chunks, one of them rebuilt; five chunks
+    g = sample_er(n, 0.5, seed=n)
+    op, ref = component_operator(g, PARAMS, kind), reference_j41_matvec(g, PARAMS)
+    rng = np.random.default_rng(n)
+    for v in rng.standard_normal((2, op.shape[0])):
+        first = op @ v
+        assert np.array_equal(first, ref(v)), n
+        assert np.array_equal(op @ v, first), n
+assert threading.active_count() > 1, "no share ran on the pool"
+g = sample_er(75, 0.5, seed=76)
+ref = reference_j41_matvec(g, PARAMS)
+npairs = 75 * 74 // 2
+want = sym_operator_norm(
+    LinearOperator((npairs, npairs), matvec=ref, rmatvec=ref, dtype=np.float64))
+print(repr(component_norm(g, PARAMS, kind)), repr(want))
+"""
+    got, want = run_fresh(script, blas_threads=1).split()
+    assert got == want
+
+
+def test_j41_norm_starts_no_thread_at_two_blas_threads():
+    script = """
+import threading
+from cliquewitness import decomposition
+from cliquewitness.decomposition import ComponentKind, component_norm
+from cliquewitness.models import sample_er
+from test_decomposition import PARAMS
+
+assert decomposition._share_count(2) == 1
+before = threading.active_count()
+component_norm(sample_er(75, 0.5, seed=76), PARAMS, ComponentKind("J", 4, 1))
+print(before, threading.active_count())
+"""
+    before, after = run_fresh(script, blas_threads=2).split()
+    assert before == after
+
+
+def test_share_pool_starts_once_under_concurrent_first_use(monkeypatch):
+    # eight threads released at once ask for the pool: all get the one pool
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(decomposition, "_share_pool", None)
+            start = threading.Barrier(8, timeout=60)
+
+            def first_use(_):
+                start.wait()
+                return decomposition._pool()
+
+            with ThreadPoolExecutor(8) as callers:
+                pools = list(callers.map(first_use, range(8), timeout=60))
+            assert len(set(map(id, pools))) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("shares, budget_mib", [(1, 16.9), (2, 17.4)])
+def test_j41_norm_traces_the_held_factor_and_its_buffers(monkeypatch, shares, budget_mib):
+    # n = 141 (five chunks), construction and norm: the held factor is 10.6 MiB
+    # at one share, and at two the chunks share 1 rebuilds give way to three
+    # chunk buffers; ARPACK's workspace and the matvec's temporaries add the rest
+    monkeypatch.setattr(decomposition, "_share_count", lambda chunks: min(chunks, shares))
+    g = sample_er(141, 0.5, seed=0)
+    g.centered
+
+    def norm():
+        sym_operator_norm(component_operator(g, PARAMS, ComponentKind("J", 4, 1)))
+
+    assert traced_peak(norm) <= budget_mib * 2**20
 
 
 def test_jtilde41_equals_j41():

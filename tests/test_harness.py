@@ -63,10 +63,11 @@ def test_config_validation():
     # every grid point at least the experiment's smallest n, and a nonnegative seed0
     for experiment, least in (("psd_frontier", 4), ("norm_scaling", 4), ("detection", 4),
                               ("expansion_identities", 5), ("w_conditions", 5)):
-        ExperimentConfig(experiment=experiment, n_grid=(least,))
+        rule = "binary_search" if experiment == "psd_frontier" else "theorem1"
+        ExperimentConfig(experiment=experiment, n_grid=(least,), kappa_rule=rule)
         for grid in ((least - 1,), (10, least - 1)):
             with pytest.raises(ValueError, match="must be at least"):
-                ExperimentConfig(experiment=experiment, n_grid=grid)
+                ExperimentConfig(experiment=experiment, n_grid=grid, kappa_rule=rule)
     with pytest.raises(ValueError, match="must be nonnegative"):
         ExperimentConfig(experiment="w_conditions", n_grid=(10,), seed0=-1)
     # the audit runs on fixed label budgets, so its grid may be empty or anything
@@ -585,6 +586,12 @@ def test_main_rejects_missing_experiment_and_bad_tol(capsys):
             main(["--experiment", experiment, "--n", n, "--trials", "1"])
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
+    # the frontier bisects kappa, so a kappa setting it would ignore is refused
+    for flag in (["--kappa", "0.01"], ["--c0", "0.3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--experiment", "psd_frontier", "--n", "12", "--trials", "3", *flag])
+        assert exc.value.code == 2
+        assert "bisects kappa" in capsys.readouterr().err
 
 
 def detection_config(**extras):
@@ -609,6 +616,15 @@ BAD_CONFIGS = {
     "planted_k_above_n": {**detection_config(hypothesis="H1", k=12), "n_grid": [30, 10]},
     "binary_search_off_frontier": {"experiment": "norm_scaling", "n_grid": [10],
                                    "kappa_rule": "binary_search"},
+    "frontier_fixed_kappa": {"experiment": "psd_frontier", "n_grid": [12], "kappa": 0.01},
+    "frontier_window_rule": {"experiment": "psd_frontier", "n_grid": [12], "c0": 0.3,
+                             "kappa_rule": "theorem1"},
+    "truncated_and_ignored": {"experiment": "w_conditions", "n_grid": [1000.9], "trials": 2.5,
+                              "extras": {"test": "comb"}},
+    "fractional_grid_point": {"experiment": "w_conditions", "n_grid": [10, 1000.9]},
+    "fractional_trials": {"experiment": "w_conditions", "n_grid": [10], "trials": 2.5},
+    "extras_off_detection": {"experiment": "w_conditions", "n_grid": [10],
+                             "extras": {"test": "comb"}},
     "not_an_object": [{"experiment": "w_conditions", "n_grid": [10]}],
 }
 
