@@ -261,6 +261,10 @@ def _component_blocks(
 # order in which the matvec sums its BLAS-3 products
 _PAIR_CHUNK = 2048
 
+# at most this many shares: speed and memory were measured at two shares
+# only, and each further share holds two more chunk buffers
+_MAX_SHARES = 2
+
 # the threads that run shares 1.. of the J(4,1) matvec, started on first use
 _share_pool: Optional[ThreadPoolExecutor] = None
 _share_pool_lock = threading.Lock()
@@ -279,22 +283,21 @@ def _pool() -> ThreadPoolExecutor:
     global _share_pool
     with _share_pool_lock:
         if _share_pool is None:
-            workers = max(1, len(os.sched_getaffinity(0)) - 1)
-            _share_pool = ThreadPoolExecutor(workers, thread_name_prefix="j41-share")
+            _share_pool = ThreadPoolExecutor(_MAX_SHARES - 1, thread_name_prefix="j41-share")
         return _share_pool
 
 
 def _share_count(chunks: int) -> int:
     """How many shares the J(4,1) matvec splits its pair chunks into.
 
-    One per available CPU, at most one per chunk, when BLAS runs one
-    thread; otherwise 1, also when the thread count cannot be read, since
+    One per available CPU, at most one per chunk and at most _MAX_SHARES,
+    when BLAS runs one thread; otherwise 1, also when the thread count cannot be read, since
     concurrent products under a multi-threaded OpenBLAS ran slower than one
     product at a time.
     """
     if blas_threads() != 1:
         return 1
-    return min(chunks, len(os.sched_getaffinity(0)))
+    return min(chunks, len(os.sched_getaffinity(0)), _MAX_SHARES)
 
 
 def _pair_factor(g: np.ndarray, heads: np.ndarray, tails: np.ndarray,
@@ -357,36 +360,28 @@ def component_operator(
         chunks = [slice(lo, lo + _PAIR_CHUNK) for lo in range(0, npairs, _PAIR_CHUNK)]
         shares = _share_count(len(chunks))
         held = [_pair_factor(g, hi[cols], ti[cols]) for cols in chunks[::shares]]
-        # with several shares, share 0 scales into one held buffer and share w
-        # rebuilds and scales into buffers 2w - 1 and 2w (new arrays at each
-        # call took 3 of the 8 ms of a matvec at n = 141 on 2 vCPUs); one
-        # share scales into a new array per chunk, so a norm peaks as before
+        # share w >= 1 rebuilds and scales into buffers 2w - 2 and 2w - 1 (new
+        # arrays at each call took 3 of the 8 ms of a matvec at n = 141 on 2
+        # vCPUs); share 0 scales into a new array per chunk, which a held
+        # buffer would keep alive through ARPACK's own peak
         width = min(npairs, _PAIR_CHUNK)
-        count = 2 * shares - 1 if shares > 1 else 0
-        buffers = [np.empty((n, width), order="F") for _ in range(count)]
-
-        def product(a: np.ndarray, v: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-            return np.multiply(a, v, out=buffer[:, :v.size]) @ a.T
+        buffers = [np.empty((n, width), order="F") for _ in range(2 * shares - 2)]
 
         def rebuilt_products(share: int, v: np.ndarray) -> List[np.ndarray]:
-            factor, scaled = buffers[2 * share - 1:2 * share + 1]
+            factor, scaled = buffers[2 * share - 2:2 * share]
             out = []
             for cols in chunks[share::shares]:
                 heads, tails = hi[cols], ti[cols]
                 a = _pair_factor(g, heads, tails, out=factor[:, :heads.size])
-                out.append(product(a, v[cols], scaled))
+                out.append(np.multiply(a, v[cols], out=scaled[:, :heads.size]) @ a.T)
             return out
 
         def matvec(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v).ravel()
-            s = np.zeros((n, n))
-            if shares == 1:
-                for cols, a in zip(chunks, held):
-                    s += (a * v[cols]) @ a.T
-                return a4 * s[hi, ti]
             futures = [_pool().submit(rebuilt_products, w, v) for w in range(1, shares)]
-            own = [product(a, v[cols], buffers[0]) for cols, a in zip(chunks[::shares], held)]
+            own = [(a * v[cols]) @ a.T for cols, a in zip(chunks[::shares], held)]
             products = [own] + [future.result() for future in futures]
+            s = np.zeros((n, n))
             for c in range(len(chunks)):
                 s += products[c % shares][c // shares]
             return a4 * s[hi, ti]

@@ -32,7 +32,12 @@ from cliquewitness.decomposition import (
 )
 from cliquewitness.models import sample_er, sample_planted
 from cliquewitness.params import derive_alphas
-from cliquewitness.spectral import ProjectorFamily, expected_block, sym_operator_norm
+from cliquewitness.spectral import (
+    ProjectorFamily,
+    blas_threads,
+    expected_block,
+    sym_operator_norm,
+)
 from cliquewitness.subsets import SubsetIndexer
 from cliquewitness.witness import build_matrix, extract_blocks
 
@@ -288,12 +293,12 @@ def test_pair_factor_equals_the_gathered_product(n):
         assert np.shares_memory(into, wide)
 
 
-def run_fresh(script, blas_threads):
+def run_fresh(script, threads):
     # a fresh interpreter, since OpenBLAS reads its thread count when it loads;
     # the script imports this checkout's package and this test module
     src = os.path.dirname(os.path.dirname(decomposition.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=600)
@@ -302,11 +307,12 @@ def run_fresh(script, blas_threads):
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+@pytest.mark.skipif(blas_threads() is None, reason="BLAS thread count cannot be read")
 def test_j41_shares_are_bit_identical_to_the_reference_at_one_blas_thread():
     # one BLAS thread on two CPUs or more: share 1 runs on the pool and
     # rebuilds its chunks, yet every product and the norm keep their bits
     script = """
-import os, threading
+import threading
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
 from cliquewitness import decomposition
@@ -315,9 +321,8 @@ from cliquewitness.models import sample_er
 from cliquewitness.spectral import blas_threads, sym_operator_norm
 from test_decomposition import PARAMS, reference_j41_matvec
 
-cpus = len(os.sched_getaffinity(0))
 assert blas_threads() == 1
-assert (decomposition._share_count(2), decomposition._share_count(5)) == (2, min(5, cpus))
+assert (decomposition._share_count(2), decomposition._share_count(5)) == (2, 2)
 kind = ComponentKind("J", 4, 1)
 for n in (75, 141):  # two chunks, one of them rebuilt; five chunks
     g = sample_er(n, 0.5, seed=n)
@@ -335,7 +340,7 @@ want = sym_operator_norm(
     LinearOperator((npairs, npairs), matvec=ref, rmatvec=ref, dtype=np.float64))
 print(repr(component_norm(g, PARAMS, kind)), repr(want))
 """
-    got, want = run_fresh(script, blas_threads=1).split()
+    got, want = run_fresh(script, threads=1).split()
     assert got == want
 
 
@@ -352,7 +357,7 @@ before = threading.active_count()
 component_norm(sample_er(75, 0.5, seed=76), PARAMS, ComponentKind("J", 4, 1))
 print(before, threading.active_count())
 """
-    before, after = run_fresh(script, blas_threads=2).split()
+    before, after = run_fresh(script, threads=2).split()
     assert before == after
 
 
@@ -379,7 +384,7 @@ def test_share_pool_starts_once_under_concurrent_first_use(monkeypatch):
 @pytest.mark.parametrize("shares, budget_mib", [(1, 16.9), (2, 17.4)])
 def test_j41_norm_traces_the_held_factor_and_its_buffers(monkeypatch, shares, budget_mib):
     # n = 141 (five chunks), construction and norm: the held factor is 10.6 MiB
-    # at one share, and at two the chunks share 1 rebuilds give way to three
+    # at one share, and at two the chunks share 1 rebuilds give way to its two
     # chunk buffers; ARPACK's workspace and the matvec's temporaries add the rest
     monkeypatch.setattr(decomposition, "_share_count", lambda chunks: min(chunks, shares))
     g = sample_er(141, 0.5, seed=0)
